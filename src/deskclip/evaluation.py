@@ -259,7 +259,8 @@ def evaluate(model: ClipModel, corpus: Corpus,
     robustness gap, plus image/text retrieval over the held-out pairs."""
     names = list(class_names) if class_names is not None else corpus.class_names
     templates = tuple(templates) if templates else DEFAULT_TEMPLATES
-    classes = build_class_embeddings(names, templates, make_text_encoder(model))
+    text_encoder = make_text_encoder(model)
+    classes = build_class_embeddings(names, templates, text_encoder)
 
     images = np.stack([to_float(r.image) for r in corpus.heldout])
     labels = np.array([r.class_id for r in corpus.heldout])
@@ -271,10 +272,10 @@ def evaluate(model: ClipModel, corpus: Corpus,
         "heldout-crop": np.stack([
             random_resized_crop(img, (0.5, 0.7), rng) for img in images]).astype(np.float32),
     }
+    embeddings = {name: _encode_images(model, imgs) for name, imgs in variants.items()}
     report = EvalReport(reference_benchmark="heldout")
     top1s = {}
-    for name, imgs in variants.items():
-        emb = _encode_images(model, imgs)
+    for name, emb in embeddings.items():
         scored = zero_shot_classify(emb, classes, labels)
         report.benchmarks[name] = {"top1": scored["top1"], "top5": scored["top5"]}
         top1s[name] = scored["top1"]
@@ -282,9 +283,7 @@ def evaluate(model: ClipModel, corpus: Corpus,
                          [v for k, v in top1s.items() if k != "heldout"])
     report.averaged, report.delta_gap = gap["avg"], gap["delta"]
 
-    text_encoder = make_text_encoder(model)
     captions = [r.caption.decode("utf-8") for r in corpus.heldout]
-    text_emb = text_encoder(captions)
-    image_emb = _encode_images(model, images)
-    report.retrieval = retrieval_report(image_emb, text_emb, list(range(len(captions))))
+    report.retrieval = retrieval_report(
+        embeddings["heldout"], text_encoder(captions), list(range(len(captions))))
     return report

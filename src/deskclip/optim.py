@@ -123,12 +123,20 @@ def _resync_master(param: Tensor, state: MomentState) -> None:
 
 
 def _core_update(grad64: np.ndarray, state: MomentState, cfg: OptimizerConfig) -> np.ndarray:
+    # in place, with the operands and rounding order of the scalar recurrences
     state.t += 1
-    state.m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * grad64
-    state.v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * grad64 * grad64
-    m_hat = state.m / (1.0 - cfg.beta1**state.t)
-    v_hat = state.v / (1.0 - cfg.beta2**state.t)
-    return m_hat / (np.sqrt(v_hat) + cfg.eps)
+    state.m *= cfg.beta1
+    state.m += (1.0 - cfg.beta1) * grad64
+    g2 = (1.0 - cfg.beta2) * grad64
+    g2 *= grad64
+    state.v *= cfg.beta2
+    state.v += g2
+    update = state.m / (1.0 - cfg.beta1**state.t)
+    v_hat = np.divide(state.v, 1.0 - cfg.beta2**state.t, out=g2)
+    np.sqrt(v_hat, out=v_hat)
+    v_hat += cfg.eps
+    update /= v_hat
+    return update
 
 
 def lamb_step(param: Tensor, grad: np.ndarray, state: MomentState, cfg: OptimizerConfig,
@@ -140,14 +148,15 @@ def lamb_step(param: Tensor, grad: np.ndarray, state: MomentState, cfg: Optimize
     _resync_master(param, state)
     update = _core_update(grad64, state, cfg)
     if apply_decay and cfg.weight_decay:
-        update = update + cfg.weight_decay * state.master
+        update += cfg.weight_decay * state.master
     if force_trust_ratio is not None:
         phi = force_trust_ratio
     else:
         w_norm = float(np.linalg.norm(state.master))
         u_norm = float(np.linalg.norm(update))
         phi = w_norm / u_norm if w_norm > 0.0 and u_norm > 0.0 else 1.0
-    state.master = state.master - lr * phi * update
+    update *= lr * phi
+    state.master -= update
     param.data = state.master.astype(param.data.dtype)
     return True
 

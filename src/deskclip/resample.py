@@ -2,34 +2,35 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 
-def _coords(n_in: int, n_out: int) -> np.ndarray:
+@functools.lru_cache(maxsize=256)
+def _taps(n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Lower/upper source indices and the weights of each along one axis."""
     # endpoint-aligned sampling: identity when n_in == n_out
     if n_out == 1:
-        return np.array([(n_in - 1) / 2.0])
-    return np.arange(n_out, dtype=np.float64) * ((n_in - 1) / (n_out - 1))
+        pos = np.array([(n_in - 1) / 2.0])
+    else:
+        pos = np.arange(n_out, dtype=np.float64) * ((n_in - 1) / (n_out - 1))
+    lo = np.floor(pos).astype(np.int64)
+    hi = np.minimum(lo + 1, n_in - 1)
+    w = pos - lo
+    taps = (lo, hi, 1.0 - w, w)
+    for arr in taps:  # shared by every caller through the cache
+        arr.flags.writeable = False
+    return taps
 
 
 def bilinear_resize(arr: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Resample the last two axes of ``arr`` to (out_h, out_w)."""
     h, w = arr.shape[-2:]
-    ys = _coords(h, out_h)
-    xs = _coords(w, out_w)
-    y0 = np.floor(ys).astype(np.int64)
-    x0 = np.floor(xs).astype(np.int64)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    wy = (ys - y0).reshape(-1, 1)
-    wx = (xs - x0).reshape(1, -1)
-
+    y0, y1, wy0, wy1 = _taps(h, out_h)
+    x0, x1, wx0, wx1 = _taps(w, out_w)
     src = arr.astype(np.float64, copy=False)
-    tl = src[..., y0[:, None], x0[None, :]]
-    tr = src[..., y0[:, None], x1[None, :]]
-    bl = src[..., y1[:, None], x0[None, :]]
-    br = src[..., y1[:, None], x1[None, :]]
-    top = tl * (1.0 - wx) + tr * wx
-    bot = bl * (1.0 - wx) + br * wx
-    out = top * (1.0 - wy) + bot * wy
+    # separable: interpolate along x on every source row, then along y
+    rows = src[..., x0] * wx0 + src[..., x1] * wx1
+    out = rows[..., y0, :] * wy0[:, None] + rows[..., y1, :] * wy1[:, None]
     return out.astype(arr.dtype, copy=False)

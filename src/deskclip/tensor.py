@@ -1,14 +1,20 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-Storage is 32-bit by default; every reduction (dot products, sums, norms,
-variances, softmax denominators) accumulates in 64-bit before the result is
-cast back. Tensors may also be created as float64, in which case ops stay in
-float64 end to end; the finite-difference oracle uses this mode.
+Storage is 32-bit by default, and every op computes in its tensors' storage
+dtype: float32 matrix products run as sgemm, and elementwise work (GELU and
+its rational ``erf``, LayerNorm, softmax) stays in float32. Only row and
+column statistics accumulate in 64-bit before a single cast back: sums and
+means, LayerNorm moments, softmax denominators and the LayerNorm gain/bias
+gradient sums. Tensors may also be created as float64, in which case ops stay
+in float64 end to end (GELU through ``scipy.special.erf``); the
+finite-difference oracle uses this mode. An op whose inputs mix the two
+dtypes computes in float64.
 
 The graph is a tape of closures: each op attaches the producing inputs and a
 backward rule to its output. ``backward`` walks the reachable subgraph once in
-reverse topological order and accumulates gradients additively on every
-tensor that requires them.
+reverse topological order and accumulates gradients additively on the leaves
+(tensors that require gradients but were not produced by an op); intermediate
+tensors keep ``grad`` as ``None``.
 """
 
 from __future__ import annotations
@@ -214,15 +220,74 @@ def sqrt(a: Tensor) -> Tensor:
     return _make(data, (a,), lambda g: ((g * 0.5 / data).astype(data.dtype, copy=False),))
 
 
+# Rational minimax erf for float32 (Eigen's ``generic_fast_erf_float``):
+# erf(x) = x * P(x^2) / Q(x^2) on [-4, 4], where float32 erf is already +-1.
+# Coefficients are listed highest degree first for Horner evaluation.
+_ERF_P = tuple(np.float32(c) for c in (
+    -2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
+    -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
+    -1.60960333262415e-02))
+_ERF_Q = tuple(np.float32(c) for c in (
+    -1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
+    -7.37332916720468e-03, -1.42647390514189e-02))
+_BLOCK = 1 << 16  # elements per chunk of the GELU loops; the temporaries stay in L2
+
+
+def erf_f32(x: np.ndarray) -> np.ndarray:
+    """float32 ``erf`` within 5e-7 of the exact value; NaN propagates."""
+    flat = np.ascontiguousarray(x, dtype=np.float32).reshape(-1)
+    out = np.empty_like(flat)
+    n = min(flat.size, _BLOCK)
+    xc_buf, x2_buf, q_buf = (np.empty(n, np.float32) for _ in range(3))
+    for lo in range(0, flat.size, _BLOCK):
+        hi = min(lo + _BLOCK, flat.size)
+        xc, x2, q, p = xc_buf[: hi - lo], x2_buf[: hi - lo], q_buf[: hi - lo], out[lo:hi]
+        np.maximum(flat[lo:hi], np.float32(-4.0), out=xc)
+        np.minimum(xc, np.float32(4.0), out=xc)
+        np.multiply(xc, xc, out=x2)
+        np.multiply(x2, _ERF_P[0], out=p)
+        for c in _ERF_P[1:-1]:
+            p += c
+            p *= x2
+        p += _ERF_P[-1]
+        p *= xc
+        np.multiply(x2, _ERF_Q[0], out=q)
+        for c in _ERF_Q[1:-1]:
+            q += c
+            q *= x2
+        q += _ERF_Q[-1]
+        np.divide(p, q, out=p)
+    return out.reshape(np.shape(x))
+
+
 def gelu(a: Tensor) -> Tensor:
     x = a.data
-    inner = erf(x * (1.0 / math.sqrt(2.0)))
-    data = (0.5 * x * (1.0 + inner)).astype(x.dtype, copy=False)
+    if x.dtype == np.float32:
+        inner = erf_f32(x * np.float32(1.0 / math.sqrt(2.0)))
+    else:
+        inner = erf(x * (1.0 / math.sqrt(2.0)))
+    data = 0.5 * x * (1.0 + inner)
 
     def backward(g):
-        pdf = np.exp(-0.5 * x.astype(np.float64) ** 2) * (1.0 / math.sqrt(2.0 * math.pi))
-        local = 0.5 * (1.0 + inner) + x * pdf
-        return ((g * local).astype(x.dtype, copy=False),)
+        # d/dx = Phi(x) + x * pdf(x), with Phi taken from the forward's erf;
+        # chunked like erf_f32 so the temporaries stay in cache
+        xf, ef = x.reshape(-1), inner.reshape(-1)
+        gf = np.ascontiguousarray(g, dtype=x.dtype).reshape(-1)
+        out = np.empty_like(ef)
+        pdf_buf = np.empty(min(xf.size, _BLOCK), x.dtype)
+        for lo in range(0, xf.size, _BLOCK):
+            hi = min(lo + _BLOCK, xf.size)
+            xs, pdf, local = xf[lo:hi], pdf_buf[: hi - lo], out[lo:hi]
+            np.multiply(xs, xs, out=pdf)
+            pdf *= -0.5
+            np.exp(pdf, out=pdf)
+            pdf *= xs
+            pdf *= 1.0 / math.sqrt(2.0 * math.pi)
+            np.multiply(ef[lo:hi], 0.5, out=local)
+            local += 0.5
+            local += pdf
+            local *= gf[lo:hi]
+        return (out.reshape(x.shape),)
 
     return _make(data, (a,), backward)
 
@@ -283,12 +348,17 @@ def take_tokens(x: Tensor, idx: np.ndarray) -> Tensor:
     idx = np.asarray(idx)
     if x.ndim != 3 or idx.ndim != 2 or idx.shape[0] != x.shape[0]:
         raise DimensionError(f"take_tokens: x {x.shape} vs idx {idx.shape}")
-    data = np.ascontiguousarray(np.take_along_axis(x.data, idx[:, :, None], axis=1))
     bidx = np.arange(x.shape[0])[:, None]
+    data = x.data[bidx, idx]
 
     def backward(g):
         dx = np.zeros_like(x.data)
-        np.add.at(dx, (bidx, idx), g)
+        # rows without repeated positions (token masking, pooling) scatter by
+        # plain assignment; np.add.at is only needed to sum repeats
+        if (np.diff(np.sort(idx, axis=1), axis=1) != 0).all():
+            dx[bidx, idx] = g
+        else:
+            np.add.at(dx, (bidx, idx), g)
         return (dx,)
 
     return _make(data, (x,), backward)
@@ -302,24 +372,22 @@ def _swap_last(arr: np.ndarray) -> np.ndarray:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product with 64-bit accumulation; batched when ndim > 2.
+    """Matrix product in the inputs' storage dtype; batched when ndim > 2.
 
-    Leading (batch) extents must match exactly; broadcasting batch dims is
-    not supported.
+    float32 inputs run as sgemm and float64 inputs as dgemm; a mixed pair
+    computes in float64. Leading (batch) extents must match exactly;
+    broadcasting batch dims is not supported.
     """
     if a.ndim < 2 or b.ndim < 2:
         raise DimensionError(f"matmul needs matrices, got {a.shape} x {b.shape}")
     if a.shape[-1] != b.shape[-2] or a.shape[:-2] != b.shape[:-2]:
         raise DimensionError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    dt = _result_dtype(a, b)
-    a64 = a.data.astype(np.float64, copy=False)
-    b64 = b.data.astype(np.float64, copy=False)
-    data = np.matmul(a64, b64).astype(dt, copy=False)
+    data = np.matmul(a.data, b.data)
 
     def backward(g):
-        g64 = g.astype(np.float64, copy=False)
-        ga = np.matmul(g64, _swap_last(b64)).astype(dt, copy=False) if a.requires_grad else None
-        gb = np.matmul(_swap_last(a64), g64).astype(dt, copy=False) if b.requires_grad else None
+        g = g.astype(data.dtype, copy=False)
+        ga = np.matmul(g, _swap_last(b.data)) if a.requires_grad else None
+        gb = np.matmul(_swap_last(a.data), g) if b.requires_grad else None
         return ga, gb
 
     return _make(data, (a, b), backward)
@@ -350,6 +418,16 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 # -- normalization / softmax ---------------------------------------------------
 
 
+def _row_mean(x: np.ndarray, dt) -> np.ndarray:
+    """Last-axis mean accumulated in float64, cast once to ``dt``."""
+    return x.mean(axis=-1, keepdims=True, dtype=np.float64).astype(dt)
+
+
+def _row_sum(x: np.ndarray, dt) -> np.ndarray:
+    """Last-axis sum accumulated in float64, cast once to ``dt``."""
+    return x.sum(axis=-1, keepdims=True, dtype=np.float64).astype(dt)
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit population variance, then affine."""
     d = x.shape[-1]
@@ -360,24 +438,27 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     if eps < 0:
         raise ContractError(f"layer_norm eps must be >= 0, got {eps}")
     dt = _result_dtype(x, gain, bias)
-    x64 = x.data.astype(np.float64, copy=False)
-    mu = x64.mean(axis=-1, keepdims=True)
-    var = x64.var(axis=-1, keepdims=True)
-    inv_sigma = 1.0 / np.sqrt(var + eps)
-    xhat = (x64 - mu) * inv_sigma
-    data = (xhat * gain.data + bias.data).astype(dt, copy=False)
+    xd = x.data.astype(dt, copy=False)
+    xhat = xd - _row_mean(xd, dt)
+    var = np.mean(xhat * xhat, axis=-1, keepdims=True, dtype=np.float64)
+    inv_sigma = (1.0 / np.sqrt(var + eps)).astype(dt)
+    xhat *= inv_sigma
+    data = xhat * gain.data.astype(dt, copy=False) + bias.data.astype(dt, copy=False)
 
     def backward(g):
-        g64 = g.astype(np.float64, copy=False)
-        dxhat = g64 * gain.data
+        g = g.astype(dt, copy=False)
         gx = None
         if x.requires_grad:
-            m1 = dxhat.mean(axis=-1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-            gx = (inv_sigma * (dxhat - m1 - xhat * m2)).astype(dt, copy=False)
-        lead = tuple(range(x.ndim - 1))
-        ggain = (g64 * xhat).sum(axis=lead).astype(dt, copy=False) if gain.requires_grad else None
-        gbias = g64.sum(axis=lead).astype(dt, copy=False) if bias.requires_grad else None
+            dxhat = g * gain.data.astype(dt, copy=False)
+            gx = dxhat - _row_mean(dxhat, dt)
+            gx -= xhat * _row_mean(dxhat * xhat, dt)
+            gx *= inv_sigma
+        rows = (-1, d)
+        ggain = gbias = None
+        if gain.requires_grad:
+            ggain = (g * xhat).reshape(rows).sum(axis=0, dtype=np.float64).astype(dt)
+        if bias.requires_grad:
+            gbias = g.reshape(rows).sum(axis=0, dtype=np.float64).astype(dt)
         return gx, ggain, gbias
 
     return _make(data, (x, gain, bias), backward)
@@ -385,33 +466,27 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 def softmax_rows(x: Tensor) -> Tensor:
     """Softmax over the last axis with max subtraction for overflow safety."""
-    x64 = x.data.astype(np.float64, copy=False)
-    shifted = x64 - x64.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=-1, keepdims=True)
-    data = s.astype(x.data.dtype, copy=False)
+    dt = x.data.dtype
+    s = np.exp(x.data - x.data.max(axis=-1, keepdims=True))
+    s /= _row_sum(s, dt)
 
     def backward(g):
-        g64 = g.astype(np.float64, copy=False)
-        dot = (g64 * s).sum(axis=-1, keepdims=True)
-        return ((s * (g64 - dot)).astype(x.data.dtype, copy=False),)
+        g = g.astype(dt, copy=False)
+        return (s * (g - _row_sum(g * s, dt)),)
 
-    return _make(data, (x,), backward)
+    return _make(s, (x,), backward)
 
 
 def log_softmax_rows(x: Tensor) -> Tensor:
-    x64 = x.data.astype(np.float64, copy=False)
-    shifted = x64 - x64.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    ls = shifted - lse
-    data = ls.astype(x.data.dtype, copy=False)
+    dt = x.data.dtype
+    ls = x.data - x.data.max(axis=-1, keepdims=True)
+    ls -= np.log(_row_sum(np.exp(ls), dt))
 
     def backward(g):
-        g64 = g.astype(np.float64, copy=False)
-        total = g64.sum(axis=-1, keepdims=True)
-        return ((g64 - np.exp(ls) * total).astype(x.data.dtype, copy=False),)
+        g = g.astype(dt, copy=False)
+        return (g - np.exp(ls) * _row_sum(g, dt),)
 
-    return _make(data, (x,), backward)
+    return _make(ls, (x,), backward)
 
 
 def l2_normalize_rows(x: Tensor) -> Tensor:
@@ -443,7 +518,12 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 
 def backward(root: Tensor) -> None:
-    """Accumulate d(root)/d(leaf) on every reachable requires_grad tensor."""
+    """Accumulate d(root)/d(leaf) on every reachable leaf that requires grad.
+
+    Leaves are tensors without a backward rule (parameters and inputs);
+    gradients flowing through intermediate tensors are consumed and dropped,
+    so their ``grad`` stays ``None``.
+    """
     if root.size != 1:
         raise ContractError(f"backward root must be scalar, got shape {root.shape}")
     if not root.requires_grad:
@@ -454,8 +534,8 @@ def backward(root: Tensor) -> None:
         g = pending.pop(id(node), None)
         if g is None:
             continue
-        node.grad = g.copy() if node.grad is None else node.grad + g
         if node._backward is None:
+            node.grad = g.copy() if node.grad is None else node.grad + g
             continue
         parent_grads = node._backward(g)
         for parent, pg in zip(node._parents, parent_grads):

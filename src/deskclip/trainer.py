@@ -314,7 +314,7 @@ class Trainer:
             inv = np.float32(1.0 / self.scaler.scale)  # scale is a power of two
             for p in params.values():
                 if p.grad is not None:
-                    p.grad = p.grad * inv
+                    p.grad *= inv
             self.opt.step(group_lrs)
             clamp_scale(scale)
         try:

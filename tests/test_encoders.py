@@ -7,6 +7,8 @@ from deskclip.encoders import (
     MaskSpec,
     ModelConfig,
     TextEncoderConfig,
+    _block,
+    _block_shapes,
     count_params,
     image_param_shapes,
     interpolate_pos_embed,
@@ -254,3 +256,32 @@ class TestDropPath:
         kept = np.all(per_sample == 2.0, axis=1)  # survivors scaled by 1/(1-rate)
         assert np.all(dropped | kept)
         assert 10 < dropped.sum() < 54
+
+
+@pytest.mark.parametrize("causal", [False, True])
+def test_block_float32_gradients_match_float64_oracle(causal):
+    """One transformer block in float32 storage against its float64 copy."""
+    rng = np.random.default_rng(11)
+    width, heads = 16, 2
+    base = {f"blocks.0.{name}": rng.standard_normal(shape) * 0.3
+            for name, shape in _block_shapes(width).items()}
+    x0 = rng.standard_normal((3, 5, width))
+    proj = rng.standard_normal((3, 5, width))
+
+    grads = {}
+    for dtype in (np.float32, np.float64):
+        params = {k: Tensor(v.astype(np.float32), requires_grad=True, dtype=dtype)
+                  for k, v in base.items()}
+        x = Tensor(x0.astype(np.float32), requires_grad=True, dtype=dtype)
+        out = _block(x, params, 0, heads, causal=causal)
+        assert out.dtype == dtype
+        T.backward(T.tsum(T.mul(out, Tensor(proj, dtype=dtype))))
+        grads[dtype] = {"x": x.grad, **{k: p.grad for k, p in params.items()}}
+
+    # attn.k.bias has an exactly-zero gradient (each softmax row is shift
+    # invariant), so near-zero entries are held to float32 rounding of the
+    # O(10) gradient scale instead of to a relative bound
+    for name, g64 in grads[np.float64].items():
+        g32 = grads[np.float32][name]
+        assert g32.dtype == np.float32
+        np.testing.assert_allclose(g32, g64, rtol=1e-3, atol=1e-5, err_msg=name)

@@ -3,6 +3,7 @@ import zlib
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from deskclip import tensor as T
 from deskclip.errors import ContractError, DimensionError
@@ -147,6 +148,52 @@ class TestBackward:
         assert c.grad is None
 
 
+class TestPrecisionPolicy:
+    """Ops compute in the storage dtype; float64 stays the exact oracle."""
+
+    def test_float32_erf_within_5e_7_of_scipy(self):
+        grid = np.linspace(-8.0, 8.0, 2_000_001).astype(np.float32)
+        got = T.erf_f32(grid)
+        assert got.dtype == np.float32
+        assert np.abs(got - erf(grid.astype(np.float64))).max() < 5e-7
+
+    def test_float32_erf_propagates_nan(self):
+        got = T.erf_f32(np.array([np.nan, -np.inf, 0.5, np.inf], dtype=np.float32))
+        assert np.isnan(got[0])
+        np.testing.assert_array_equal(got[[1, 3]], [-1.0, 1.0])
+        assert abs(got[2] - erf(0.5)) < 5e-7
+
+    def test_float64_gelu_is_the_scipy_formula(self):
+        x = np.random.default_rng(8).standard_normal((4, 33)) * 3.0
+        got = T.gelu(Tensor(x, dtype=np.float64)).data
+        np.testing.assert_array_equal(got, 0.5 * x * (1.0 + erf(x * (1.0 / math.sqrt(2.0)))))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_ops_keep_the_storage_dtype(self, dtype):
+        rng = np.random.default_rng(9)
+        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True, dtype=dtype)
+        w = Tensor(rng.standard_normal((4, 4)), requires_grad=True, dtype=dtype)
+        gain = Tensor(np.ones(4), requires_grad=True, dtype=dtype)
+        bias = Tensor(np.zeros(4), requires_grad=True, dtype=dtype)
+        outs = [T.matmul(x, w), T.layer_norm(x, gain, bias), T.softmax_rows(x),
+                T.log_softmax_rows(x), T.gelu(x)]
+        for out in outs:
+            assert out.dtype == dtype
+        T.backward(T.tsum(T.add(T.add(outs[0], outs[1]), T.add(T.add(outs[2], outs[3]), outs[4]))))
+        for leaf in (x, w, gain, bias):
+            assert leaf.grad.dtype == dtype
+
+    def test_grads_stored_on_leaves_only(self):
+        rng = np.random.default_rng(10)
+        x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        w = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
+        h = T.matmul(x, w)
+        y = T.gelu(h)
+        T.backward(T.tsum(y))
+        assert x.grad is not None and w.grad is not None
+        assert h.grad is None and y.grad is None
+
+
 class TestGradCheck:
     def test_sum_of_squares_is_tight(self):
         rng = np.random.default_rng(6)
@@ -171,6 +218,7 @@ def _const(arr, x):
 
 _IDS = np.array([[0, 2], [1, 1]])
 _TOK_IDX = np.array([[0, 2], [3, 1]])
+_TOK_IDX_REPEATED = np.array([[1, 1], [3, 0]])
 
 # (name, input shape, graph builder): one probe per differentiable op
 OP_CASES = [
@@ -189,6 +237,7 @@ OP_CASES = [
     ("concat", (2, 4), lambda x, c: T.concat([x, _const(c((2, 3)), x)], axis=1)),
     ("embedding", (3, 4), lambda x, c: T.embedding(x, _IDS)),
     ("take_tokens", (2, 4, 3), lambda x, c: T.take_tokens(x, _TOK_IDX)),
+    ("take_tokens_repeated", (2, 4, 3), lambda x, c: T.take_tokens(x, _TOK_IDX_REPEATED)),
     ("sum_axis", (3, 4), lambda x, c: T.tsum(x, axis=1)),
     ("mean", (3, 4), lambda x, c: T.tmean(x, axis=-1, keepdims=True)),
     ("layer_norm", (3, 5), lambda x, c: T.layer_norm(x, _const(c((5,)), x), _const(c((5,)), x))),
