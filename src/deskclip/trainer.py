@@ -429,20 +429,26 @@ class Trainer:
 
 
 def bench(cfg: TrainConfig, corpus: Corpus, steps: int, warmup: int = 5) -> dict:
-    """Median step time with masking on vs off; first ``warmup`` steps excluded."""
+    """Median step time with masking on vs off; first ``warmup`` steps excluded.
+
+    The two trainers step alternately, so drift in machine speed during the
+    run hits both arms alike instead of skewing their ratio.
+    """
     if steps < 1:
         raise ContractError(f"need at least 1 timed step, got {steps}")
     report: dict = {"steps_timed": steps, "warmup_excluded": warmup,
                     "batch_size": cfg.batch_size}
-    for label, ratio in (("unmasked", 0.0), ("masked", cfg.mask_ratio or 0.5)):
-        run_cfg = replace(cfg, mask_ratio=ratio, warmup_steps=0,
-                          total_steps=warmup + steps, checkpoint_interval=0)
-        trainer = Trainer(run_cfg, corpus)
-        times = []
-        for _ in range(warmup + steps):
-            batch = trainer.stream.batch_at(trainer.attempted, run_cfg.batch_size)
-            times.append(trainer.train_step(batch).wall_time)
-        med = statistics.median(times[warmup:])
+    arms = {label: (ratio, Trainer(replace(cfg, mask_ratio=ratio, warmup_steps=0,
+                                           total_steps=warmup + steps,
+                                           checkpoint_interval=0), corpus))
+            for label, ratio in (("unmasked", 0.0), ("masked", cfg.mask_ratio or 0.5))}
+    times: dict[str, list[float]] = {label: [] for label in arms}
+    for _ in range(warmup + steps):
+        for label, (_, trainer) in arms.items():
+            batch = trainer.stream.batch_at(trainer.attempted, cfg.batch_size)
+            times[label].append(trainer.train_step(batch).wall_time)
+    for label, (ratio, _) in arms.items():
+        med = statistics.median(times[label][warmup:])
         report[label] = {
             "mask_ratio": ratio,
             "median_step_seconds": med,
