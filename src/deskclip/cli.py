@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .checkpoint import load_checkpoint
-from .data import CorpusSpec, generate_corpus, load_corpus
+from .data import Corpus, CorpusSpec, generate_corpus, load_corpus
 from .errors import DeskclipError, InputError
 from .evaluation import evaluate
 from .model import ClipModel
@@ -76,11 +76,13 @@ def new_run_dir(command: str, root: str | Path | None = None) -> Path:
             n += 1
 
 
-def _load_train_config(args) -> tuple[TrainConfig, dict]:
+def _load_train_config(args) -> tuple[TrainConfig, dict, Corpus]:
     flat = parse_config_file(args.config)
     flat = apply_overrides(flat, args.set or [])
     cfg = TrainConfig.from_flat(flat)
-    return cfg, cfg.to_flat()
+    if not cfg.data_manifest:
+        raise InputError(f"config field data_manifest is required for {args.command}")
+    return cfg, cfg.to_flat(), load_corpus(cfg.data_manifest)
 
 
 def _cmd_gen_data(args) -> int:
@@ -96,10 +98,7 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    cfg, resolved = _load_train_config(args)
-    if not cfg.data_manifest:
-        raise InputError("config field data_manifest is required for train")
-    corpus = load_corpus(cfg.data_manifest)
+    cfg, resolved, corpus = _load_train_config(args)
     run_dir = new_run_dir("train", args.run_root)
     (run_dir / "resolved.cfg").write_text(format_config(resolved, args.set))
     trainer = Trainer(cfg, corpus, run_dir=run_dir)
@@ -149,10 +148,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    cfg, resolved = _load_train_config(args)
-    if not cfg.data_manifest:
-        raise InputError("config field data_manifest is required for bench")
-    corpus = load_corpus(cfg.data_manifest)
+    cfg, resolved, corpus = _load_train_config(args)
     report = bench(cfg, corpus, steps=args.steps)
     run_dir = new_run_dir("bench", args.run_root)
     (run_dir / "resolved.cfg").write_text(format_config(resolved, args.set))
@@ -168,10 +164,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    cfg, resolved = _load_train_config(args)
-    if not cfg.data_manifest:
-        raise InputError("config field data_manifest is required for ablate")
-    corpus = load_corpus(cfg.data_manifest)
+    cfg, resolved, corpus = _load_train_config(args)
     run_dir = new_run_dir("ablate", args.run_root)
     (run_dir / "resolved.cfg").write_text(format_config(resolved, args.set))
     report = run_ablation(cfg, corpus, run_dir)

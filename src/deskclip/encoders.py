@@ -56,7 +56,6 @@ class TextEncoderConfig:
     heads: int
     vocab_size: int
     context_length: int
-    drop_path: float = 0.0
 
     def __post_init__(self):
         if self.width % self.heads != 0:
@@ -83,7 +82,6 @@ class MaskSpec:
     """Random token dropping: keep ceil((1-ratio) * n) patches, at least one."""
 
     ratio: float
-    keep_special: bool = True
 
     def __post_init__(self):
         if not 0.0 <= self.ratio < 1.0:

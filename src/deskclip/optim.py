@@ -9,8 +9,7 @@ master re-syncs from the tensor before the next update.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -37,8 +36,7 @@ class OptimizerConfig:
             raise ContractError(f"need eps > 0 and weight_decay >= 0, got {self.eps}, {self.weight_decay}")
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "beta1": self.beta1, "beta2": self.beta2,
-                "eps": self.eps, "weight_decay": self.weight_decay}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "OptimizerConfig":
@@ -58,7 +56,6 @@ class ParamGroup:
     layer_decay: float = 1.0
     depths: dict[str, int] = field(default_factory=dict)  # member -> depth index
     num_layers: int = 0
-    decay_exempt: Callable[[str], bool] = default_decay_exempt
 
     def __post_init__(self):
         if not 0.0 < self.layer_decay <= 1.0:
@@ -205,7 +202,7 @@ class Optimizer:
                 depth = group.depths.get(name, group.num_layers + 1)
                 lr = group_lrs[group.name] * float(scales[depth])
                 apply(param, grad, self.state[name], self.cfg, lr,
-                      apply_decay=not group.decay_exempt(name))
+                      apply_decay=not default_decay_exempt(name))
                 self.last_effective_lrs[name] = lr
         return True
 

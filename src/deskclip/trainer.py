@@ -9,22 +9,17 @@ import resource
 import statistics
 import tempfile
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from operator import attrgetter
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from . import tensor as T
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .data import Batch, BatchStream, Corpus, TokenizerSpec, VOCAB_SIZE, random_resized_crop
-from .encoders import (
-    ImageEncoderConfig,
-    MaskSpec,
-    ModelConfig,
-    TextEncoderConfig,
-    assign_depth,
-    interpolate_pos_embed,
-)
+from .encoders import MaskSpec, ModelConfig, assign_depth, interpolate_pos_embed
 from .errors import ContractError, DimensionError, DivergenceError, InputError
 from .model import ClipModel
 from .objective import LogitScale, clamp_scale, clip_loss, similarity_logits
@@ -80,72 +75,79 @@ class TrainConfig:
         return self.batch_size * self.total_steps
 
     def to_flat(self) -> dict:
-        img, txt = self.model.image, self.model.text
-        return {
-            "image_layers": img.layers, "image_width": img.width, "image_heads": img.heads,
-            "image_size": img.image_size, "image_patch_size": img.patch_size,
-            "image_channels": img.channels, "image_drop_path": img.drop_path,
-            "text_layers": txt.layers, "text_width": txt.width, "text_heads": txt.heads,
-            "text_vocab_size": txt.vocab_size, "text_context_length": txt.context_length,
-            "embed_dim": self.model.embed_dim,
-            "optimizer_kind": self.optimizer.kind, "beta1": self.optimizer.beta1,
-            "beta2": self.optimizer.beta2, "optimizer_eps": self.optimizer.eps,
-            "weight_decay": self.optimizer.weight_decay,
-            "peak_lr_image": self.peak_lr_image, "peak_lr_text": self.peak_lr_text,
-            "layer_decay_image": self.layer_decay_image, "layer_decay_text": self.layer_decay_text,
-            "schedule_shape": self.schedule_shape, "warmup_steps": self.warmup_steps,
-            "total_steps": self.total_steps, "mask_ratio": self.mask_ratio,
-            "batch_size": self.batch_size, "seed": self.seed,
-            "init_policy": self.init_policy, "init_checkpoint": self.init_checkpoint,
-            "init_strict": self.init_strict, "augment": self.augment,
-            "crop_scale_lo": self.crop_scale_lo, "crop_scale_hi": self.crop_scale_hi,
-            "checkpoint_interval": self.checkpoint_interval,
-            "scale_init": self.scale_init, "scale_growth_interval": self.scale_growth_interval,
-            "data_manifest": self.data_manifest,
-        }
+        return {key: get(self) for key, get in _GETTERS}
 
     @classmethod
     def from_flat(cls, flat: dict) -> "TrainConfig":
         flat = dict(flat)
-        model = ModelConfig(
-            image=ImageEncoderConfig(
-                layers=int(flat.pop("image_layers")), width=int(flat.pop("image_width")),
-                heads=int(flat.pop("image_heads")), image_size=int(flat.pop("image_size")),
-                patch_size=int(flat.pop("image_patch_size")),
-                channels=int(flat.pop("image_channels", 3)),
-                drop_path=float(flat.pop("image_drop_path", 0.0)),
-            ),
-            text=TextEncoderConfig(
-                layers=int(flat.pop("text_layers")), width=int(flat.pop("text_width")),
-                heads=int(flat.pop("text_heads")), vocab_size=int(flat.pop("text_vocab_size")),
-                context_length=int(flat.pop("text_context_length")),
-            ),
-            embed_dim=int(flat.pop("embed_dim", 0)),
-        )
-        optimizer = OptimizerConfig(
-            kind=str(flat.pop("optimizer_kind", "lamb")), beta1=float(flat.pop("beta1", 0.9)),
-            beta2=float(flat.pop("beta2", 0.98)), eps=float(flat.pop("optimizer_eps", 1e-6)),
-            weight_decay=float(flat.pop("weight_decay", 0.05)),
-        )
-        kwargs = {}
-        for f in ("peak_lr_image", "peak_lr_text", "layer_decay_image", "layer_decay_text",
-                  "mask_ratio", "crop_scale_lo", "crop_scale_hi", "scale_init"):
-            if f in flat:
-                kwargs[f] = float(flat.pop(f))
-        for f in ("warmup_steps", "total_steps", "batch_size", "seed",
-                  "checkpoint_interval", "scale_growth_interval"):
-            if f in flat:
-                kwargs[f] = int(flat.pop(f))
-        for f in ("init_strict", "augment"):
-            if f in flat:
-                v = flat.pop(f)
-                kwargs[f] = v if isinstance(v, bool) else str(v).lower() in ("1", "true", "yes")
-        for f in ("schedule_shape", "init_policy", "init_checkpoint", "data_manifest"):
-            if f in flat:
-                kwargs[f] = str(flat.pop(f))
+        values = {}
+        for key, path, kind, required in _FLAT_KEYS:
+            if key in flat:
+                values[path] = _coerce(key, kind, flat.pop(key))
+            elif required:
+                raise InputError(f"config key {key} is required")
         if flat:
             raise InputError(f"unknown config keys: {sorted(flat)}")
-        return cls(model=model, optimizer=optimizer, **kwargs)
+        return _build((), values)
+
+
+# -- flat config schema, derived from the dataclass fields ------------------------
+
+
+def _schema(cls: type, path: tuple[str, ...] = ()):
+    """Yield ``(path, type, required)`` for every field below ``cls``, depth first."""
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        sub = path + (f.name,)
+        yield sub, hints[f.name], f.default is MISSING and f.default_factory is MISSING
+        if is_dataclass(hints[f.name]):
+            yield from _schema(hints[f.name], sub)
+
+
+# A leaf's flat key is its name prefixed by the name of the field holding it
+# (model.image.layers -> image_layers); these keys predate that rule.
+_LEGACY_KEYS = {
+    "model.image.image_size": "image_size",
+    "model.embed_dim": "embed_dim",
+    "optimizer.beta1": "beta1",
+    "optimizer.beta2": "beta2",
+    "optimizer.weight_decay": "weight_decay",
+}
+_TRUE, _FALSE = ("1", "true", "yes"), ("0", "false", "no")
+
+_SCHEMA = list(_schema(TrainConfig))
+_CONFIG_TYPES = {(): TrainConfig, **{p: t for p, t, _ in _SCHEMA if is_dataclass(t)}}
+# (flat key, attribute path, type, required) per leaf, in field order
+_FLAT_KEYS = [(_LEGACY_KEYS.get(".".join(p), "_".join(p[-2:])), p, t, required)
+              for p, t, required in _SCHEMA if not is_dataclass(t)]
+_GETTERS = [(key, attrgetter(".".join(p))) for key, p, _, _ in _FLAT_KEYS]
+
+
+def _coerce(key: str, kind: type, value):
+    if kind is bool:
+        if isinstance(value, bool):
+            return value
+        word = str(value).lower()
+        if word not in _TRUE + _FALSE:
+            raise InputError(f"config key {key}: {value!r} is not a boolean (true/false, yes/no, 1/0)")
+        return word in _TRUE
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise InputError(f"config key {key}: {value!r} is not a valid {kind.__name__}") from None
+
+
+def _build(path: tuple[str, ...], values: dict):
+    """Construct the config at ``path`` from leaf values keyed by attribute path."""
+    cls = _CONFIG_TYPES[path]
+    kwargs = {}
+    for f in fields(cls):
+        sub = path + (f.name,)
+        if sub in _CONFIG_TYPES:
+            kwargs[f.name] = _build(sub, values)
+        elif sub in values:
+            kwargs[f.name] = values[sub]
+    return cls(**kwargs)
 
 
 @dataclass
@@ -159,12 +161,7 @@ class StepRecord:
     wall_time: float
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"step": self.step, "loss": self.loss, "lrs": self.lrs,
-             "logit_scale": self.logit_scale, "overflow": self.overflow,
-             "tokens": self.tokens, "wall_time": self.wall_time},
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, line: str) -> "StepRecord":
@@ -275,7 +272,6 @@ class Trainer:
         self.attempted = 0
         self.samples_seen = 0
         self.records: list[StepRecord] = []
-        self.debug_overflow_steps: set[int] = set()  # fault injection for scaler tests
         self._log_file = None
         if self.run_dir is not None:
             self.run_dir.mkdir(parents=True, exist_ok=True)
@@ -301,11 +297,6 @@ class Trainer:
 
         T.backward(T.mul(loss, Tensor(np.float32(self.scaler.scale))))
         params = self.model.trainable()
-        if self.attempted in self.debug_overflow_steps:
-            first = next(iter(params.values()))
-            first.grad = first.grad if first.grad is not None else np.zeros_like(first.data)
-            first.grad.reshape(-1)[0] = np.inf
-
         overflow = any(
             p.grad is not None and not np.isfinite(p.grad).all() for p in params.values())
         group_lrs = {g.name: lr_at(cfg.schedule, g.peak_lr, self.schedule_step)
@@ -388,13 +379,7 @@ class Trainer:
             "samples_seen": self.samples_seen,
             "log_scale": self.model.logit_scale.item(),
             "rng_state": self.rng_step.bit_generator.state,
-            "scaler": {
-                "scale": self.scaler.scale,
-                "good_steps": self.scaler.good_steps,
-                "growth_interval": self.scaler.growth_interval,
-                "growth_factor": self.scaler.growth_factor,
-                "backoff_factor": self.scaler.backoff_factor,
-            },
+            "scaler": asdict(self.scaler),
             "config": self.cfg.to_flat(),
         }
         ckpt = Checkpoint(
@@ -418,11 +403,7 @@ class Trainer:
         self.attempted = int(meta["attempted"])
         self.samples_seen = int(meta["samples_seen"])
         self.rng_step.bit_generator.state = meta["rng_state"]
-        sc = meta["scaler"]
-        self.scaler = LossScalerState(
-            scale=float(sc["scale"]), good_steps=int(sc["good_steps"]),
-            growth_interval=int(sc["growth_interval"]), growth_factor=float(sc["growth_factor"]),
-            backoff_factor=float(sc["backoff_factor"]))
+        self.scaler = LossScalerState(**meta["scaler"])
 
 
 # -- benchmarking -------------------------------------------------------------------

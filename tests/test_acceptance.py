@@ -239,7 +239,7 @@ def test_criterion_6_parameter_counts():
            "; ".join(details) + " all within 2% of the published 86M/63M and 304M/124M")
 
 
-def test_criterion_7_recipe_mechanics(overfit_corpus):
+def test_criterion_7_recipe_mechanics(overfit_corpus, inject_overflow):
     cfg = TrainConfig(model=preset("tiny"), peak_lr_image=4e-4, peak_lr_text=4e-5,
                       layer_decay_image=0.75, layer_decay_text=0.75,
                       warmup_steps=2000, total_steps=4000, mask_ratio=0.0,
@@ -259,7 +259,7 @@ def test_criterion_7_recipe_mechanics(overfit_corpus):
     assert eff["image.proj"] == pytest.approx(base * scales[-1], rel=1e-12)
 
     faulty = Trainer(replace(cfg, warmup_steps=2, total_steps=10), overfit_corpus)
-    faulty.debug_overflow_steps = {2}
+    inject_overflow(faulty, {2})
     for i in range(3):
         if i == 2:
             before = {n: p.data.copy() for n, p in faulty.model.params.items()}

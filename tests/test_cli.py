@@ -1,12 +1,18 @@
 import json
+from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from deskclip.cli import apply_overrides, format_config, new_run_dir, parse_config_file, run
+from deskclip.encoders import ImageEncoderConfig, ModelConfig, TextEncoderConfig
+from deskclip.errors import InputError
 from deskclip.model import preset
+from deskclip.optim import OptimizerConfig
 from deskclip.trainer import StepRecord, TrainConfig
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +79,59 @@ class TestConfigFile:
         a = new_run_dir("train", tmp_path)
         b = new_run_dir("train", tmp_path)
         assert a != b and a.exists() and b.exists()
+
+
+def leaves(obj, path=()):
+    """Yield ``(path, field, value)`` for every non-dataclass field below ``obj``."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            yield from leaves(value, path + (f.name,))
+        else:
+            yield path + (f.name,), f, value
+
+
+class TestConfigSchema:
+    # every leaf off its default, so a field the flat form drops cannot go unseen
+    OFF_DEFAULT = TrainConfig(
+        model=ModelConfig(
+            image=ImageEncoderConfig(layers=3, width=48, heads=3, image_size=24, patch_size=6,
+                                     channels=1, drop_path=0.125),
+            text=TextEncoderConfig(layers=1, width=40, heads=5, vocab_size=300, context_length=20),
+            embed_dim=24,
+        ),
+        optimizer=OptimizerConfig(kind="adamw", beta1=0.85, beta2=0.995, eps=1e-8,
+                                  weight_decay=0.1),
+        peak_lr_image=3e-4, peak_lr_text=7e-5, layer_decay_image=0.65, layer_decay_text=0.85,
+        schedule_shape="linear", warmup_steps=7, total_steps=70, mask_ratio=0.25,
+        batch_size=16, seed=11, init_policy="both-from-checkpoint",
+        init_checkpoint="runs/pre/final.bin", init_strict=True, augment=False,
+        crop_scale_lo=0.8, crop_scale_hi=0.95, checkpoint_interval=5, scale_init=1024.0,
+        scale_growth_interval=50, data_manifest="data/manifest.json",
+    )
+
+    def test_example_sets_every_leaf_off_its_default(self):
+        off = [path for path, f, value in leaves(self.OFF_DEFAULT)
+               if f.default is MISSING or value != f.default]
+        assert off == [path for path, _, _ in leaves(self.OFF_DEFAULT)]
+        assert len(self.OFF_DEFAULT.to_flat()) == len(off)
+
+    def test_flat_round_trip(self):
+        flat = self.OFF_DEFAULT.to_flat()
+        assert sorted(flat) == sorted(parse_config_file(CONFIG_DIR / "train-mini.cfg"))
+        assert TrainConfig.from_flat(flat) == self.OFF_DEFAULT
+
+    def test_config_file_round_trip(self, tmp_path):
+        path = tmp_path / "off.cfg"
+        path.write_text(format_config(self.OFF_DEFAULT.to_flat()))
+        assert TrainConfig.from_flat(parse_config_file(path)) == self.OFF_DEFAULT
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.cfg")))
+    def test_committed_configs_are_canonical(self, name):
+        text = (CONFIG_DIR / name).read_text()
+        cfg = TrainConfig.from_flat(parse_config_file(CONFIG_DIR / name))
+        body = [line for line in text.splitlines() if not line.startswith("#")]
+        assert body == format_config(cfg.to_flat()).splitlines()
 
 
 class TestEndToEnd:
@@ -159,3 +218,24 @@ class TestEndToEnd:
         assert code != 0
         err = capsys.readouterr().err
         assert "ratio" in err
+
+    @pytest.mark.parametrize("key, value, match", [
+        ("batch_size", "abc", "not a valid int"),
+        ("augment", "flase", "not a boolean"),
+        ("image_layers", None, "is required"),
+    ], ids=["non-numeric", "unknown-boolean", "missing-required"])
+    def test_bad_config_value_names_key(self, workspace, tmp_path, capsys, key, value, match):
+        flat = parse_config_file(workspace / "train.cfg")
+        if value is None:
+            del flat[key]
+        else:
+            flat[key] = value
+        with pytest.raises(InputError, match=f"{key}.*{match}"):
+            TrainConfig.from_flat(flat)
+        path = tmp_path / "bad.cfg"
+        path.write_text(format_config(flat))
+        code = run(["--run-root", str(tmp_path / "runs"), "train", "--config", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+        assert not (tmp_path / "runs").exists()

@@ -105,9 +105,9 @@ class TestTrainStep:
             losses.append(run)
         assert losses[0] == losses[1]
 
-    def test_injected_overflow_skips_step_and_halves_scale(self, corpus):
+    def test_injected_overflow_skips_step_and_halves_scale(self, corpus, inject_overflow):
         trainer = Trainer(tiny_cfg(), corpus)
-        trainer.debug_overflow_steps = {3}
+        inject_overflow(trainer, {3})
         before_scale = trainer.scaler.scale
         snapshots = {}
         for i in range(5):
@@ -125,9 +125,9 @@ class TestTrainStep:
         assert trainer.schedule_step == 4
         assert trainer.samples_seen == 4 * 4
 
-    def test_step_records_appended_once_per_attempt(self, corpus):
+    def test_step_records_appended_once_per_attempt(self, corpus, inject_overflow):
         trainer = Trainer(tiny_cfg(), corpus)
-        trainer.debug_overflow_steps = {1}
+        inject_overflow(trainer, {1})
         for _ in range(4):
             trainer.train_step(trainer.stream.batch_at(trainer.attempted, 4))
         assert len(trainer.records) == 4
@@ -285,14 +285,14 @@ class TestBench:
 
 
 class TestDivergence:
-    def test_scale_floor_raises_with_recent_records(self, corpus):
+    def test_scale_floor_raises_with_recent_records(self, corpus, inject_overflow):
         from deskclip.errors import DivergenceError
 
         trainer = Trainer(tiny_cfg(), corpus)
         for _ in range(12):
             trainer.train_step(trainer.stream.batch_at(trainer.attempted, 4))
         trainer.scaler.scale = 2.0**-20
-        trainer.debug_overflow_steps = {trainer.attempted}
+        inject_overflow(trainer, {trainer.attempted})
         with pytest.raises(DivergenceError) as err:
             trainer.train_step(trainer.stream.batch_at(trainer.attempted, 4))
         assert len(err.value.records) == 10
