@@ -34,10 +34,10 @@ batch = np.random.default_rng(0).standard_normal((64, 3, 32, 32)).astype(np.floa
 with no_grad():
     for label, mask in (("unmasked", None), ("masked  ", MaskSpec(0.5))):
         t0 = time.perf_counter()
-        trace = {}
-        model.encode_image(batch, mask=mask, rng=np.random.default_rng(1), trace=trace)
-        print(f"{label}: {trace['token_positions']:3d} token positions, "
-              f"{time.perf_counter() - t0:.3f}s forward")
+        model.encode_image(batch, mask=mask, rng=np.random.default_rng(1))
+        patches = cfg.image.n_patches
+        tokens = 1 + (mask.kept_count(patches) if mask is not None else patches)
+        print(f"{label}: {tokens:3d} token positions, {time.perf_counter() - t0:.3f}s forward")
 
 # -- continuing a checkpoint at higher resolution ----------------------------------
 pos = Tensor(np.random.default_rng(2).standard_normal((1 + 16 * 16, 64)).astype(np.float32))

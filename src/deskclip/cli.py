@@ -45,11 +45,14 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
 
 
 def format_config(flat: dict, overrides: list[str] | None = None) -> str:
+    """Inverse of parse_config_file; rejects values it would not read back."""
     lines = []
     if overrides:
         lines.append("# overrides applied: " + " ".join(overrides))
-    for key in sorted(flat):
-        lines.append(f"{key} = {flat[key]}")
+    for key, value in sorted(flat.items()):
+        if any(c in str(value) for c in "#\r\n"):
+            raise InputError(f"config key {key}: {value!r} cannot be written ('#' or a line break)")
+        lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"
 
 
@@ -76,13 +79,13 @@ def new_run_dir(command: str, root: str | Path | None = None) -> Path:
             n += 1
 
 
-def _load_train_config(args) -> tuple[TrainConfig, dict, Corpus]:
+def _load_train_config(args) -> tuple[TrainConfig, str, Corpus]:
     flat = parse_config_file(args.config)
     flat = apply_overrides(flat, args.set or [])
     cfg = TrainConfig.from_flat(flat)
     if not cfg.data_manifest:
         raise InputError(f"config field data_manifest is required for {args.command}")
-    return cfg, cfg.to_flat(), load_corpus(cfg.data_manifest)
+    return cfg, format_config(cfg.to_flat(), args.set), load_corpus(cfg.data_manifest)
 
 
 def _cmd_gen_data(args) -> int:
@@ -100,7 +103,7 @@ def _cmd_gen_data(args) -> int:
 def _cmd_train(args) -> int:
     cfg, resolved, corpus = _load_train_config(args)
     run_dir = new_run_dir("train", args.run_root)
-    (run_dir / "resolved.cfg").write_text(format_config(resolved, args.set))
+    (run_dir / "resolved.cfg").write_text(resolved)
     trainer = Trainer(cfg, corpus, run_dir=run_dir)
     if trainer.load_report is not None:
         print(f"initialization: {trainer.load_report.summary()}")
@@ -151,7 +154,7 @@ def _cmd_bench(args) -> int:
     cfg, resolved, corpus = _load_train_config(args)
     report = bench(cfg, corpus, steps=args.steps)
     run_dir = new_run_dir("bench", args.run_root)
-    (run_dir / "resolved.cfg").write_text(format_config(resolved, args.set))
+    (run_dir / "resolved.cfg").write_text(resolved)
     (run_dir / "bench.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     for label in ("unmasked", "masked"):
         row = report[label]
@@ -166,7 +169,7 @@ def _cmd_bench(args) -> int:
 def _cmd_ablate(args) -> int:
     cfg, resolved, corpus = _load_train_config(args)
     run_dir = new_run_dir("ablate", args.run_root)
-    (run_dir / "resolved.cfg").write_text(format_config(resolved, args.set))
+    (run_dir / "resolved.cfg").write_text(resolved)
     report = run_ablation(cfg, corpus, run_dir)
     print(format_ablation_table(report), end="")
     print(f"report dir: {run_dir}")

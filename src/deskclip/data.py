@@ -22,6 +22,7 @@ from .resample import bilinear_resize
 
 SHARD_MAGIC = b"CFSH"
 SHARD_VERSION = 1
+RECORDS_PER_SHARD = 512
 
 PAD_ID, BOS_ID, EOS_ID = 256, 257, 258
 VOCAB_SIZE = 259
@@ -171,7 +172,7 @@ def _render(spec: CorpusSpec, class_id: int, rng: np.random.Generator) -> np.nda
     return (np.clip(noisy, 0.0, 1.0) * 255.0).round().astype(np.uint8)
 
 
-def generate_corpus(spec: CorpusSpec, out_dir: str | Path, records_per_shard: int = 512) -> Path:
+def generate_corpus(spec: CorpusSpec, out_dir: str | Path) -> Path:
     """Write train/eval shards plus a manifest; returns the manifest path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -189,9 +190,9 @@ def generate_corpus(spec: CorpusSpec, out_dir: str | Path, records_per_shard: in
 
     def write_split(records, stem):
         paths = []
-        for i in range(0, max(len(records), 1), records_per_shard):
-            chunk = records[i : i + records_per_shard]
-            p = out / f"{stem}-{i // records_per_shard:03d}.shard"
+        for i in range(0, max(len(records), 1), RECORDS_PER_SHARD):
+            chunk = records[i : i + RECORDS_PER_SHARD]
+            p = out / f"{stem}-{i // RECORDS_PER_SHARD:03d}.shard"
             write_shard(chunk, p)
             paths.append(p.name)
         return paths

@@ -295,9 +295,9 @@ def _block(
     causal: bool,
     dp_rate: float = 0.0,
     rng: np.random.Generator | None = None,
-    training: bool = False,
 ) -> Tensor:
     p = f"blocks.{i}"
+    training = rng is not None  # only training forwards pass their generator
     h = T.layer_norm(x, params[f"{p}.norm1.gain"], params[f"{p}.norm1.bias"])
     x = T.add(x, drop_path(_attention(h, params, f"{p}.attn", heads, causal), dp_rate, rng, training))
     h = T.layer_norm(x, params[f"{p}.norm2.gain"], params[f"{p}.norm2.bias"])
@@ -313,12 +313,11 @@ def encode_image(
     mask: MaskSpec | None = None,
     rng: np.random.Generator | None = None,
     embed_dim: int | None = None,
-    trace: dict | None = None,
 ) -> EmbeddingOutput:
     """Embed a batch of images to unit-norm vectors.
 
-    ``mask`` is a training-only argument; evaluation callers leave it None and
-    get a deterministic, mask-free forward pass.
+    ``mask`` and ``rng`` are training-only arguments; evaluation callers leave
+    them None and get a deterministic forward pass without masking or drop path.
     """
     x = images if isinstance(images, Tensor) else Tensor(np.asarray(images, dtype=np.float32))
     if x.ndim != 4 or x.shape[1] != cfg.channels or x.shape[2:] != (cfg.image_size, cfg.image_size):
@@ -342,12 +341,9 @@ def encode_image(
         kept = np.stack([sample_mask(cfg.n_patches, mask, rng) for _ in range(b)])
         idx = np.concatenate([np.zeros((b, 1), dtype=np.int64), kept + 1], axis=1)
         x = T.take_tokens(x, idx)
-    if trace is not None:
-        trace["token_positions"] = x.shape[1]
 
     for i in range(cfg.layers):
-        x = _block(x, params, i, cfg.heads, causal=False,
-                   dp_rate=cfg.drop_path, rng=rng, training=mask is not None)
+        x = _block(x, params, i, cfg.heads, causal=False, dp_rate=cfg.drop_path, rng=rng)
 
     cls_feat = T.reshape(T.take_tokens(x, np.zeros((b, 1), dtype=np.int64)), (b, cfg.width))
     feat = T.layer_norm(cls_feat, params["final_norm.gain"], params["final_norm.bias"])

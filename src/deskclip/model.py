@@ -54,9 +54,9 @@ class ClipModel:
         return self.params["logit_scale"]
 
     def encode_image(self, images, mask: MaskSpec | None = None,
-                     rng: np.random.Generator | None = None, trace: dict | None = None) -> EmbeddingOutput:
+                     rng: np.random.Generator | None = None) -> EmbeddingOutput:
         return encode_image(images, self.cfg.image, self.tower_params("image"),
-                            mask=mask, rng=rng, embed_dim=self.cfg.embed_dim, trace=trace)
+                            mask=mask, rng=rng, embed_dim=self.cfg.embed_dim)
 
     def encode_text(self, token_ids) -> EmbeddingOutput:
         return encode_text(token_ids, self.cfg.text, self.tower_params("text"),

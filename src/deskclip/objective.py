@@ -16,11 +16,10 @@ from .tensor import Tensor
 @dataclass
 class LogitScale:
     log_scale: Tensor  # shape (1,), learnable
-    max_log_scale: float = MAX_LOG_SCALE
 
     @property
     def value(self) -> float:
-        return float(np.exp(min(self.log_scale.item(), self.max_log_scale)))
+        return float(np.exp(min(self.log_scale.item(), MAX_LOG_SCALE)))
 
 
 def _check_normalized(emb: EmbeddingOutput, side: str) -> None:
@@ -56,4 +55,4 @@ def clip_loss(logits: Tensor) -> Tensor:
 
 def clamp_scale(scale: LogitScale) -> None:
     """Pull log_scale back below its cap; call after every optimizer step."""
-    scale.log_scale.data = np.minimum(scale.log_scale.data, np.float32(scale.max_log_scale))
+    scale.log_scale.data = np.minimum(scale.log_scale.data, np.float32(MAX_LOG_SCALE))

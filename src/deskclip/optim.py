@@ -1,9 +1,10 @@
 """LAMB and AdamW with layer-wise LR decay, warmup schedules, and loss scaling.
 
-Moments and a master copy of each parameter are kept in float64; the model's
-float32 tensors are refreshed from the master after every applied step. If a
-parameter is modified externally (checkpoint load, logit-scale clamp), the
-master re-syncs from the tensor before the next update.
+Moments and a master copy of each parameter are kept in float64; the float32
+tensors are refreshed from the master after every applied step. Optimizer.step
+skips the whole update if any gradient is non-finite. Masters sync only where
+tensors are written from outside: ``Optimizer.adopt`` after the logit-scale
+clamp, and the end of ``load_state_arrays`` on resume.
 """
 
 from __future__ import annotations
@@ -112,13 +113,6 @@ class MomentState:
         return cls(m=np.zeros_like(w), v=np.zeros_like(w), master=w.copy())
 
 
-def _resync_master(param: Tensor, state: MomentState) -> None:
-    stored = state.master.astype(param.data.dtype)
-    changed = stored != param.data
-    if changed.any():
-        state.master[changed] = param.data[changed].astype(np.float64)
-
-
 def _core_update(grad64: np.ndarray, state: MomentState, cfg: OptimizerConfig) -> np.ndarray:
     # in place, with the operands and rounding order of the scalar recurrences
     state.t += 1
@@ -142,7 +136,6 @@ def lamb_step(param: Tensor, grad: np.ndarray, state: MomentState, cfg: Optimize
     grad64 = np.asarray(grad, dtype=np.float64)
     if not np.isfinite(grad64).all():
         return False
-    _resync_master(param, state)
     update = _core_update(grad64, state, cfg)
     if apply_decay and cfg.weight_decay:
         update += cfg.weight_decay * state.master
@@ -164,7 +157,6 @@ def adamw_step(param: Tensor, grad: np.ndarray, state: MomentState, cfg: Optimiz
     grad64 = np.asarray(grad, dtype=np.float64)
     if not np.isfinite(grad64).all():
         return False
-    _resync_master(param, state)
     update = _core_update(grad64, state, cfg)
     decay = cfg.weight_decay if apply_decay else 0.0
     state.master = state.master - lr * update - lr * decay * state.master
@@ -188,8 +180,9 @@ class Optimizer:
         self.last_effective_lrs: dict[str, float] = {}
 
     def step(self, group_lrs: dict[str, float]) -> bool:
-        """Apply one update given lr_at() values per group; False if skipped."""
-        for name, p in self.params.items():
+        """Apply one update given lr_at() values per group; if any gradient is
+        non-finite, touch nothing and return False (the step's overflow verdict)."""
+        for p in self.params.values():
             if p.grad is not None and not np.isfinite(p.grad).all():
                 return False
         apply = lamb_step if self.cfg.kind == "lamb" else adamw_step
@@ -205,6 +198,12 @@ class Optimizer:
                       apply_decay=not default_decay_exempt(name))
                 self.last_effective_lrs[name] = lr
         return True
+
+    def adopt(self, name: str) -> None:
+        """Take a write made to parameter ``name`` outside the optimizer into its master."""
+        data, master = self.params[name].data, self.state[name].master
+        changed = master.astype(data.dtype) != data
+        master[changed] = data[changed].astype(np.float64)
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         """Flatten optimizer state for checkpointing (float64 payloads)."""
@@ -222,6 +221,7 @@ class Optimizer:
             st.v = arrays[f"v/{name}"].astype(np.float64).reshape(st.v.shape)
             st.master = arrays[f"master/{name}"].astype(np.float64).reshape(st.master.shape)
             st.t = int(arrays[f"t/{name}"][0])
+            self.adopt(name)  # the loaded tensor wins where an older file saved a pre-clamp master
 
 
 # -- dynamic loss scaling ---------------------------------------------------------

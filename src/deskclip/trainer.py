@@ -288,8 +288,9 @@ class Trainer:
                 for img in images
             ]).astype(np.float32)
         mask = MaskSpec(cfg.mask_ratio) if cfg.mask_ratio > 0 else None
-        trace: dict = {}
-        img_emb = self.model.encode_image(images, mask=mask, rng=self.rng_step, trace=trace)
+        patches = cfg.model.image.n_patches
+        image_tokens = 1 + (mask.kept_count(patches) if mask is not None else patches)
+        img_emb = self.model.encode_image(images, mask=mask, rng=self.rng_step)
         txt_emb = self.model.encode_text(batch.token_ids)
         scale = LogitScale(self.model.logit_scale)
         loss = clip_loss(similarity_logits(img_emb, txt_emb, scale))
@@ -297,17 +298,16 @@ class Trainer:
 
         T.backward(T.mul(loss, Tensor(np.float32(self.scaler.scale))))
         params = self.model.trainable()
-        overflow = any(
-            p.grad is not None and not np.isfinite(p.grad).all() for p in params.values())
+        inv = np.float32(1.0 / self.scaler.scale)  # scale is a power of two; inf stays inf
+        for p in params.values():
+            if p.grad is not None:
+                p.grad *= inv
         group_lrs = {g.name: lr_at(cfg.schedule, g.peak_lr, self.schedule_step)
                      for g in self.groups}
+        overflow = not self.opt.step(group_lrs)
         if not overflow:
-            inv = np.float32(1.0 / self.scaler.scale)  # scale is a power of two
-            for p in params.values():
-                if p.grad is not None:
-                    p.grad *= inv
-            self.opt.step(group_lrs)
             clamp_scale(scale)
+            self.opt.adopt("logit_scale")
         try:
             scaler_update(self.scaler, overflow)
         except DivergenceError as err:
@@ -319,8 +319,7 @@ class Trainer:
             lrs=group_lrs,
             logit_scale=scale.value,
             overflow=overflow,
-            tokens=batch.token_ids.shape[0] * trace.get("token_positions", 0)
-            + int((~batch.pad_mask).sum()),
+            tokens=len(images) * image_tokens + int((~batch.pad_mask).sum()),
             wall_time=time.perf_counter() - t0,
         )
         if not overflow:
@@ -339,15 +338,16 @@ class Trainer:
     # -- full runs ------------------------------------------------------------
 
     def train(self, max_seconds: float | None = None) -> Path | None:
+        """Step to total_steps, or until this call's step wall_times sum to max_seconds."""
         cfg = self.cfg
         interval = cfg.checkpoint_interval or max(1, cfg.total_steps // 10)
-        start = time.perf_counter()
+        spent = 0.0
         while self.schedule_step < cfg.total_steps:
-            if max_seconds is not None and time.perf_counter() - start >= max_seconds:
+            if max_seconds is not None and spent >= max_seconds:
                 break
             batch = self.stream.batch_at(self.attempted, cfg.batch_size)
             before = self.schedule_step
-            self.train_step(batch)
+            spent += self.train_step(batch).wall_time
             if (self.run_dir is not None and self.schedule_step != before
                     and self.schedule_step % interval == 0
                     and self.schedule_step < cfg.total_steps):
@@ -445,15 +445,14 @@ def bench(cfg: TrainConfig, corpus: Corpus, steps: int, warmup: int = 5) -> dict
 # -- ablation workflow ------------------------------------------------------------------
 
 
-def run_ablation(cfg: TrainConfig, corpus: Corpus, run_dir: Path | None = None,
-                 pretrain_steps: int | None = None) -> dict:
+def run_ablation(cfg: TrainConfig, corpus: Corpus, run_dir: Path | None = None) -> dict:
     """Four-arm recipe comparison at toy scale, plus the stage-0 pretraining
-    run that provides the initialization checkpoint (by default twice the arm
-    budget, standing in for a separately pretrained model).
+    run that provides the initialization checkpoint (twice the arm budget,
+    standing in for a separately pretrained model).
 
     Arms: from-scratch AdamW, initialized AdamW, initialized LAMB, and
-    initialized LAMB with masking run on the wall-clock budget the unmasked
-    LAMB arm used (so its step count shows the masking speedup).
+    initialized LAMB with masking run for the summed step wall_time the
+    unmasked LAMB arm took (so its step count shows the masking speedup).
     """
     run_dir = Path(run_dir) if run_dir is not None else None
     if run_dir is not None:
@@ -466,9 +465,7 @@ def run_ablation(cfg: TrainConfig, corpus: Corpus, run_dir: Path | None = None,
     def run_arm(name, arm_cfg, budget=None):
         arm_dir = run_dir / name if run_dir is not None else None
         trainer = Trainer(arm_cfg, corpus, run_dir=arm_dir)
-        t0 = time.perf_counter()
         trainer.train(max_seconds=budget)
-        wall = time.perf_counter() - t0
         return {
             "name": name,
             "optimizer": arm_cfg.optimizer.kind,
@@ -476,21 +473,18 @@ def run_ablation(cfg: TrainConfig, corpus: Corpus, run_dir: Path | None = None,
             "mask_ratio": arm_cfg.mask_ratio,
             "steps": trainer.schedule_step,
             "final_loss": final_loss(trainer.records),
-            "wall_seconds": wall,
+            "wall_seconds": sum(r.wall_time for r in trainer.records),
             "ckpt": str(arm_dir / "final.bin") if arm_dir is not None else "",
         }, trainer
 
-    # arms keep only their final checkpoint so saving never skews the
-    # wall-clock budget comparison
+    # arms keep only their final checkpoint
     base = replace(cfg, init_policy="scratch", init_checkpoint="",
                    checkpoint_interval=10 * cfg.total_steps)
     lamb = base.optimizer if base.optimizer.kind == "lamb" else replace(base.optimizer, kind="lamb")
     adamw = replace(lamb, kind="adamw")
     mask_ratio = cfg.mask_ratio if cfg.mask_ratio > 0 else 0.5
 
-    pretrain_steps = pretrain_steps or 2 * cfg.total_steps
-    pre_cfg = replace(base, optimizer=lamb, mask_ratio=0.0, total_steps=pretrain_steps,
-                      warmup_steps=min(cfg.warmup_steps, pretrain_steps))
+    pre_cfg = replace(base, optimizer=lamb, mask_ratio=0.0, total_steps=2 * cfg.total_steps)
     pre_row, pre_trainer = run_arm("stage0-pretrain", pre_cfg)
     if run_dir is not None:
         init_path = run_dir / "stage0-pretrain" / "final.bin"

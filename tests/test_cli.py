@@ -75,6 +75,11 @@ class TestConfigFile:
         p.write_text(format_config(flat, overrides=["beta=x"]))
         assert parse_config_file(p) == flat
 
+    @pytest.mark.parametrize("value", ["data#2/manifest.json", "data\n2"], ids=["hash", "newline"])
+    def test_format_rejects_values_it_cannot_read_back(self, value):
+        with pytest.raises(InputError, match="data_manifest"):
+            format_config({"batch_size": 4, "data_manifest": value})
+
     def test_run_dirs_never_reused(self, tmp_path):
         a = new_run_dir("train", tmp_path)
         b = new_run_dir("train", tmp_path)
@@ -218,6 +223,15 @@ class TestEndToEnd:
         assert code != 0
         err = capsys.readouterr().err
         assert "ratio" in err
+
+    def test_unwritable_config_leaves_no_run_dir(self, workspace, tmp_path, capsys):
+        (tmp_path / "data#2").symlink_to(workspace / "data")
+        code = run(["--run-root", str(tmp_path / "runs"), "train",
+                    "--config", str(workspace / "train.cfg"),
+                    "--set", f"data_manifest={tmp_path / 'data#2' / 'manifest.json'}"])
+        assert code == 2
+        assert "data_manifest" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("key, value, match", [
         ("batch_size", "abc", "not a valid int"),

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from deskclip import encoders
 from deskclip import tensor as T
 from deskclip.encoders import (
     ImageEncoderConfig,
@@ -105,14 +108,21 @@ class TestEncodeImage:
         masked = m.encode_image(imgs, mask=MaskSpec(0.0), rng=np.random.default_rng(5)).vector.data
         np.testing.assert_array_equal(plain, masked)
 
-    def test_masked_forward_processes_exact_token_count(self):
+    def test_masked_forward_processes_exact_token_count(self, monkeypatch):
         m = tiny_model()
         imgs = np.random.default_rng(3).standard_normal((2, 3, 32, 32)).astype(np.float32)
+        seen = []
+
+        def spy(x, *args, **kwargs):
+            seen.append(x.shape[1])
+            return _block(x, *args, **kwargs)
+
+        monkeypatch.setattr(encoders, "_block", spy)
         for ratio in (0.25, 0.5, 0.75):
-            trace = {}
-            m.encode_image(imgs, mask=MaskSpec(ratio), rng=np.random.default_rng(0), trace=trace)
+            seen.clear()
+            m.encode_image(imgs, mask=MaskSpec(ratio), rng=np.random.default_rng(0))
             expected = int(np.ceil((1 - ratio) * 16)) + 1
-            assert trace["token_positions"] == expected
+            assert seen == [expected] * m.cfg.image.layers
 
     def test_eval_mode_ignores_seed(self):
         m = tiny_model()
@@ -256,6 +266,14 @@ class TestDropPath:
         kept = np.all(per_sample == 2.0, axis=1)  # survivors scaled by 1/(1-rate)
         assert np.all(dropped | kept)
         assert 10 < dropped.sum() < 54
+
+    def test_unmasked_training_forward_drops_paths(self):
+        cfg = preset("tiny")
+        m = ClipModel.init(replace(cfg, image=replace(cfg.image, drop_path=0.5)), 0)
+        imgs = np.random.default_rng(6).standard_normal((4, 3, 32, 32)).astype(np.float32)
+        plain = m.encode_image(imgs).vector.data
+        trained = m.encode_image(imgs, rng=np.random.default_rng(0)).vector.data
+        assert not np.array_equal(plain, trained)
 
 
 @pytest.mark.parametrize("causal", [False, True])

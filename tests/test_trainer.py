@@ -1,9 +1,13 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
+from deskclip import model as model_module
+from deskclip import tensor as T
+from deskclip import trainer as trainer_module
 from deskclip.checkpoint import load_checkpoint
 from deskclip.data import CorpusSpec, generate_corpus, load_corpus
 from deskclip.encoders import ImageEncoderConfig, ModelConfig, TextEncoderConfig
@@ -133,6 +137,26 @@ class TestTrainStep:
         assert len(trainer.records) == 4
         assert [r.overflow for r in trainer.records] == [False, True, False, False]
 
+    @pytest.mark.parametrize("kind", ["lamb", "adamw"])
+    def test_masters_equal_tensors_after_clamped_steps(self, corpus, monkeypatch, kind):
+        monkeypatch.setattr(model_module, "LOG_SCALE_INIT", MAX_LOG_SCALE)
+        trainer = Trainer(tiny_cfg(optimizer=OptimizerConfig(kind), total_steps=8), corpus)
+        real_backward = T.backward
+
+        def backward(root):  # a temperature gradient that keeps pushing past the cap
+            real_backward(root)
+            trainer.model.logit_scale.grad[:] = -trainer.scaler.scale
+
+        monkeypatch.setattr(T, "backward", backward)
+        clamped = 0
+        for _ in range(8):
+            assert not trainer.train_step(trainer.stream.batch_at(trainer.attempted, 4)).overflow
+            clamped += trainer.model.logit_scale.item() == np.float32(MAX_LOG_SCALE)
+            for name, p in trainer.model.trainable().items():
+                np.testing.assert_array_equal(
+                    trainer.opt.state[name].master.astype(np.float32), p.data, err_msg=name)
+        assert clamped >= 6
+
     def test_logit_scale_never_exceeds_clamp(self, corpus):
         trainer = Trainer(tiny_cfg(total_steps=20), corpus)
         for _ in range(20):
@@ -179,6 +203,20 @@ class TestScheduleInstrumentation:
         assert trainer.samples_seen == cfg.batch_size * cfg.total_steps
         meta = load_checkpoint(tmp_path / "run" / "final.bin").metadata
         assert meta["samples_seen"] == cfg.batch_size * cfg.total_steps
+
+    def test_time_budget_counts_step_wall_times_only(self, corpus, tmp_path, monkeypatch):
+        real_save = trainer_module.save_checkpoint
+
+        def slow_save(path, ckpt):  # saves take longer than the whole budget
+            time.sleep(0.2)
+            real_save(path, ckpt)
+
+        monkeypatch.setattr(trainer_module, "save_checkpoint", slow_save)
+        trainer = Trainer(tiny_cfg(checkpoint_interval=1), corpus, run_dir=tmp_path / "run")
+        trainer.train(max_seconds=0.1)
+        walls = [r.wall_time for r in trainer.records]
+        assert trainer.schedule_step < 30
+        assert sum(walls[:-1]) < 0.1 <= sum(walls)
 
 
 class TestCheckpointing:
