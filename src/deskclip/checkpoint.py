@@ -10,6 +10,7 @@ Names are written sorted, so save -> load -> save is byte-identical.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -74,20 +75,28 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         off += n
         return out
 
+    def parse(n, what, convert):
+        at = off
+        raw = take(n, what)
+        try:
+            return convert(raw)
+        except ValueError:  # bad UTF-8 or JSON, or extents numpy cannot hold
+            raise CorruptionError(f"{path}: malformed {what} at byte offset {at}", offset=at) from None
+
     if take(4, "magic") != MAGIC:
         raise FormatError(f"{path}: not a checkpoint file")
     version = struct.unpack("<I", take(4, "version"))[0]
     if version != VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {version}")
     meta_len = struct.unpack("<Q", take(8, "metadata length"))[0]
-    metadata = json.loads(take(meta_len, "metadata").decode("utf-8"))
+    metadata = parse(meta_len, "metadata", lambda raw: json.loads(raw.decode("utf-8")))
 
     def read_table():
         count = struct.unpack("<I", take(4, "table size"))[0]
         entries = []
         for _ in range(count):
             name_len = struct.unpack("<H", take(2, "name length"))[0]
-            name = take(name_len, "name").decode("utf-8")
+            name = parse(name_len, "name", bytes.decode)
             code, ndim = struct.unpack("<BB", take(2, "dtype/ndim"))
             if code not in _DTYPES:
                 raise CorruptionError(f"{path}: unknown dtype code {code}", offset=off)
@@ -101,8 +110,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     def read_payloads(entries):
         out = {}
         for name, dtype, shape in entries:
-            nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
-            out[name] = np.frombuffer(take(nbytes, f"payload of {name}"), dtype=dtype).reshape(shape).copy()
+            nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+            out[name] = parse(nbytes, f"payload of {name}",
+                              lambda raw: np.frombuffer(raw, dtype=dtype).reshape(shape).copy())
         return out
 
     tensors = read_payloads(model_entries)

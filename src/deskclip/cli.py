@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from .trainer import (
     TrainConfig,
     Trainer,
     bench,
+    final_loss,
     format_ablation_table,
     init_from_checkpoint,
     run_ablation,
@@ -102,26 +104,31 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg, resolved, corpus = _load_train_config(args)
+    resume = load_checkpoint(args.resume) if args.resume else None
     run_dir = new_run_dir("train", args.run_root)
     (run_dir / "resolved.cfg").write_text(resolved)
     trainer = Trainer(cfg, corpus, run_dir=run_dir)
     if trainer.load_report is not None:
         print(f"initialization: {trainer.load_report.summary()}")
-    if args.resume:
-        trainer.resume(load_checkpoint(args.resume))
+    if resume is not None:
+        try:
+            trainer.resume(resume)
+        except DeskclipError:
+            shutil.rmtree(run_dir)  # nothing has run in it yet
+            raise
         print(f"resumed at step {trainer.schedule_step}")
     final = trainer.train()
-    losses = [r.loss for r in trainer.records[-10:] if not r.overflow]
-    mean_tail = sum(losses) / len(losses) if losses else float("nan")
     print(f"run dir: {run_dir}")
     print(f"steps: {trainer.schedule_step}  samples seen: {trainer.samples_seen}")
-    print(f"final loss (mean of last 10): {mean_tail:.4f}")
+    print(f"final loss (mean of last 10): {final_loss(trainer.records):.4f}")
     print(f"checkpoint: {final}")
     return 0
 
 
 def _cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
+    if "config" not in ckpt.metadata:
+        raise InputError(f"{args.ckpt}: checkpoint has no metadata key 'config' to build the model from")
     cfg = TrainConfig.from_flat(ckpt.metadata["config"])
     model = ClipModel.init(cfg.model, cfg.seed)
     report_load = init_from_checkpoint(model, ckpt)

@@ -45,14 +45,6 @@ class TokenizerSpec:
 
     context_length: int = 32
 
-    @property
-    def vocab_size(self) -> int:
-        return VOCAB_SIZE
-
-    @property
-    def eos_id(self) -> int:
-        return EOS_ID
-
 
 def tokenize(caption: str | bytes, spec: TokenizerSpec) -> np.ndarray:
     """BOS + bytes + EOS, truncated so EOS always fits, padded to context."""
@@ -120,6 +112,9 @@ def read_shard(path: str | Path, image_shape: tuple[int, int, int] | None = None
     for _ in range(count):
         raw, off = take(off, 8, "record header")
         class_id, img_len = struct.unpack("<II", raw)
+        if image_shape is not None and img_len != math.prod(image_shape):
+            raise CorruptionError(f"{path}: {img_len}-byte image at byte offset {off - 4} does not "
+                                  f"fit shape {image_shape}", offset=off - 4)
         raw, off = take(off, img_len, "image payload")
         img = np.frombuffer(raw, dtype=np.uint8)
         if image_shape is not None:
@@ -227,10 +222,6 @@ class Corpus:
     def class_names(self) -> list[str]:
         return self.manifest["class_names"]
 
-    @property
-    def image_shape(self) -> tuple[int, int, int]:
-        return (self.manifest["channels"], self.manifest["image_size"], self.manifest["image_size"])
-
 
 def load_corpus(manifest_path: str | Path) -> Corpus:
     manifest_path = Path(manifest_path)
@@ -282,7 +273,6 @@ class Batch:
     images: np.ndarray  # float32 [b,c,h,w]
     token_ids: np.ndarray  # int64 [b,L]
     pad_mask: np.ndarray  # bool [b,L], True where PAD
-    class_ids: np.ndarray  # int64 [b]
 
 
 class BatchStream:
@@ -300,7 +290,6 @@ class BatchStream:
         self.records = records
         self.seed = seed
         self.token_ids = np.stack([tokenize(r.caption, tokenizer) for r in records])
-        self.class_ids = np.array([r.class_id for r in records], dtype=np.int64)
         self._perms: dict[int, np.ndarray] = {}
 
     def _perm(self, epoch: int) -> np.ndarray:
@@ -324,5 +313,4 @@ class BatchStream:
             images=images,
             token_ids=self.token_ids[idx],
             pad_mask=self.token_ids[idx] == PAD_ID,
-            class_ids=self.class_ids[idx],
         )

@@ -246,11 +246,9 @@ def interpolate_pos_embed(pos: Tensor, new_grid: int) -> Tensor:
     return Tensor(np.concatenate([pos.data[:1], flat], axis=0))
 
 
-def _linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+def _linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     lead = x.shape[:-1]
-    out = T.matmul(T.reshape(x, (-1, x.shape[-1])), weight)
-    if bias is not None:
-        out = T.add(out, bias)
+    out = T.add(T.matmul(T.reshape(x, (-1, x.shape[-1])), weight), bias)
     return T.reshape(out, lead + (weight.shape[-1],))
 
 
@@ -310,22 +308,21 @@ def encode_image(
     images,
     cfg: ImageEncoderConfig,
     params: dict[str, Tensor],
+    embed_dim: int,
     mask: MaskSpec | None = None,
     rng: np.random.Generator | None = None,
-    embed_dim: int | None = None,
 ) -> EmbeddingOutput:
     """Embed a batch of images to unit-norm vectors.
 
     ``mask`` and ``rng`` are training-only arguments; evaluation callers leave
     them None and get a deterministic forward pass without masking or drop path.
     """
-    x = images if isinstance(images, Tensor) else Tensor(np.asarray(images, dtype=np.float32))
+    x = Tensor(images)
     if x.ndim != 4 or x.shape[1] != cfg.channels or x.shape[2:] != (cfg.image_size, cfg.image_size):
         raise DimensionError(
             f"images {x.shape} do not match config "
             f"[b,{cfg.channels},{cfg.image_size},{cfg.image_size}]"
         )
-    embed_dim = embed_dim if embed_dim is not None else params["proj"].shape[-1]
     validate_params(image_param_shapes(cfg, embed_dim), params, "image")
     if mask is not None and rng is None:
         raise ContractError("masked encoding needs the caller's seeded generator")
@@ -355,7 +352,7 @@ def encode_text(
     token_ids: np.ndarray,
     cfg: TextEncoderConfig,
     params: dict[str, Tensor],
-    embed_dim: int | None = None,
+    embed_dim: int,
 ) -> EmbeddingOutput:
     """Embed tokenized captions; pools at the (single) end-of-sequence token."""
     ids = np.asarray(token_ids)
@@ -370,7 +367,6 @@ def encode_text(
     bad = np.nonzero(eos_counts != 1)[0]
     if bad.size:
         raise InputError(f"row {int(bad[0])} has {int(eos_counts[bad[0]])} end-of-sequence tokens, expected 1")
-    embed_dim = embed_dim if embed_dim is not None else params["proj"].shape[-1]
     validate_params(text_param_shapes(cfg, embed_dim), params, "text")
 
     x = T.embedding(params["token_embed.weight"], ids)

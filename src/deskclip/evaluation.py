@@ -5,9 +5,8 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -170,12 +169,8 @@ class RobustnessRow:
     corrected_delta: float | None
 
 
-def load_robustness_fixtures(path: str | Path | None = None) -> list[RobustnessRow]:
-    if path is None:
-        source = resources.files("deskclip").joinpath("fixtures/robustness_zero_shot.csv")
-        text = source.read_text()
-    else:
-        text = Path(path).read_text()
+def load_robustness_fixtures() -> list[RobustnessRow]:
+    text = resources.files("deskclip").joinpath("fixtures/robustness_zero_shot.csv").read_text()
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
     rows = []
     for rec in csv.DictReader(lines):
@@ -195,22 +190,19 @@ def load_robustness_fixtures(path: str | Path | None = None) -> list[RobustnessR
 
 @dataclass
 class EvalReport:
-    benchmarks: dict[str, dict[str, float]] = field(default_factory=dict)
-    reference_benchmark: str = ""
-    averaged: float | None = None
-    delta_gap: float | None = None
-    retrieval: dict[str, dict[int, float]] = field(default_factory=dict)
-    schema_version: int = REPORT_SCHEMA_VERSION
+    benchmarks: dict[str, dict[str, float]]
+    reference_benchmark: str
+    averaged: float
+    delta_gap: float
+    retrieval: dict[str, dict[int, float]]
 
     def to_rows(self) -> list[tuple[str, str, float]]:
         rows = []
         for name, metrics in self.benchmarks.items():
             for metric, value in metrics.items():
                 rows.append((name, metric, value))
-        if self.averaged is not None:
-            rows.append(("summary", "avg_top1", self.averaged))
-        if self.delta_gap is not None:
-            rows.append(("summary", "delta_gap", self.delta_gap))
+        rows.append(("summary", "avg_top1", self.averaged))
+        rows.append(("summary", "delta_gap", self.delta_gap))
         for direction, table in self.retrieval.items():
             for k, value in table.items():
                 rows.append((direction, f"R@{k}", value))
@@ -218,7 +210,7 @@ class EvalReport:
 
     def to_json(self) -> str:
         return json.dumps({
-            "schema_version": self.schema_version,
+            "schema_version": REPORT_SCHEMA_VERSION,
             "reference_benchmark": self.reference_benchmark,
             "benchmarks": self.benchmarks,
             "averaged": self.averaged,
@@ -228,25 +220,23 @@ class EvalReport:
         }, indent=2, sort_keys=True)
 
     def render_text(self) -> str:
-        lines = [f"zero-shot report (schema v{self.schema_version})"]
+        lines = [f"zero-shot report (schema v{REPORT_SCHEMA_VERSION})"]
         for name, metrics in self.benchmarks.items():
             parts = ", ".join(f"{m} {v:.1f}" for m, v in metrics.items())
             lines.append(f"  {name}: {parts}")
-        if self.averaged is not None:
-            lines.append(f"  averaged top-1: {self.averaged:.1f}")
-        if self.delta_gap is not None:
-            lines.append(f"  delta gap: {self.delta_gap:.1f}")
+        lines.append(f"  averaged top-1: {self.averaged:.1f}")
+        lines.append(f"  delta gap: {self.delta_gap:.1f}")
         for direction, table in self.retrieval.items():
             parts = ", ".join(f"R@{k} {v:.1f}" for k, v in sorted(table.items()))
             lines.append(f"  {direction}: {parts}")
         return "\n".join(lines) + "\n"
 
 
-def _encode_images(model: ClipModel, images: np.ndarray, batch: int = 64) -> np.ndarray:
+def _encode_images(model: ClipModel, images: np.ndarray) -> np.ndarray:
     outs = []
     with no_grad():
-        for i in range(0, images.shape[0], batch):
-            outs.append(model.encode_image(images[i : i + batch]).vector.data)
+        for i in range(0, images.shape[0], 64):
+            outs.append(model.encode_image(images[i : i + 64]).vector.data)
     return np.concatenate(outs, axis=0)
 
 
@@ -272,17 +262,13 @@ def evaluate(model: ClipModel, corpus: Corpus,
             random_resized_crop(img, (0.5, 0.7), rng) for img in images]).astype(np.float32),
     }
     embeddings = {name: _encode_images(model, imgs) for name, imgs in variants.items()}
-    report = EvalReport(reference_benchmark="heldout")
-    top1s = {}
+    benchmarks = {}
     for name, emb in embeddings.items():
         scored = zero_shot_classify(emb, classes, labels)
-        report.benchmarks[name] = {"top1": scored["top1"], "top5": scored["top5"]}
-        top1s[name] = scored["top1"]
-    gap = robustness_gap(top1s["heldout"],
-                         [v for k, v in top1s.items() if k != "heldout"])
-    report.averaged, report.delta_gap = gap["avg"], gap["delta"]
-
+        benchmarks[name] = {"top1": scored["top1"], "top5": scored["top5"]}
+    gap = robustness_gap(benchmarks["heldout"]["top1"],
+                         [v["top1"] for k, v in benchmarks.items() if k != "heldout"])
     captions = [r.caption.decode("utf-8") for r in corpus.heldout]
-    report.retrieval = retrieval_report(
+    retrieval = retrieval_report(
         embeddings["heldout"], text_encoder(captions), list(range(len(captions))))
-    return report
+    return EvalReport(benchmarks, "heldout", gap["avg"], gap["delta"], retrieval)

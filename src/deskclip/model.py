@@ -55,12 +55,11 @@ class ClipModel:
 
     def encode_image(self, images, mask: MaskSpec | None = None,
                      rng: np.random.Generator | None = None) -> EmbeddingOutput:
-        return encode_image(images, self.cfg.image, self.tower_params("image"),
-                            mask=mask, rng=rng, embed_dim=self.cfg.embed_dim)
+        return encode_image(images, self.cfg.image, self.tower_params("image"), self.cfg.embed_dim,
+                            mask=mask, rng=rng)
 
     def encode_text(self, token_ids) -> EmbeddingOutput:
-        return encode_text(token_ids, self.cfg.text, self.tower_params("text"),
-                           embed_dim=self.cfg.embed_dim)
+        return encode_text(token_ids, self.cfg.text, self.tower_params("text"), self.cfg.embed_dim)
 
     def trainable(self) -> dict[str, Tensor]:
         return {name: p for name, p in self.params.items() if p.requires_grad}

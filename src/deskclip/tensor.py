@@ -45,10 +45,6 @@ def no_grad():
         _grad_enabled = prev
 
 
-def is_grad_enabled() -> bool:
-    return _grad_enabled
-
-
 class Tensor:
     """N-dimensional array of reals participating in the autodiff graph.
 
@@ -91,37 +87,13 @@ class Tensor:
             raise ContractError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
     # -- operator sugar ----------------------------------------------------
 
-    def __add__(self, other):
-        return add(self, _as_tensor(other, self))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other, self), self)
-
-    def __sub__(self, other):
-        return add(self, neg(_as_tensor(other, self)))
-
-    def __rsub__(self, other):
-        return add(_as_tensor(other, self), neg(self))
-
-    def __neg__(self):
-        return neg(self)
-
     def __mul__(self, other):
         return mul(self, _as_tensor(other, self))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other, self), self)
-
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other, self))
 
     def __matmul__(self, other):
         return matmul(self, other)

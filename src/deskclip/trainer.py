@@ -7,7 +7,6 @@ import json
 import math
 import resource
 import statistics
-import tempfile
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from operator import attrgetter
@@ -35,6 +34,8 @@ from .optim import (
 from .tensor import Tensor
 
 INIT_POLICIES = ("scratch", "image-from-checkpoint", "both-from-checkpoint")
+# the metadata Trainer.resume restores; Trainer.save writes them all
+RESUME_METADATA = ("step", "attempted", "samples_seen", "rng_state", "scaler")
 
 
 @dataclass(frozen=True)
@@ -272,7 +273,6 @@ class Trainer:
         self.attempted = 0
         self.samples_seen = 0
         self.records: list[StepRecord] = []
-        self._log_file = None
         if self.run_dir is not None:
             self.run_dir.mkdir(parents=True, exist_ok=True)
 
@@ -356,18 +356,13 @@ class Trainer:
         if self.run_dir is not None:
             final = self.run_dir / "final.bin"
             self.save(final)
-        if self._log_file is not None:
-            self._log_file.close()
-            self._log_file = None
         return final
 
     def _log(self, record: StepRecord) -> None:
         if self.run_dir is None:
             return
-        if self._log_file is None:
-            self._log_file = open(self.run_dir / "steps.jsonl", "a")
-        self._log_file.write(record.to_json() + "\n")
-        self._log_file.flush()
+        with open(self.run_dir / "steps.jsonl", "a") as f:
+            f.write(record.to_json() + "\n")
 
     # -- checkpointing -----------------------------------------------------------
 
@@ -391,12 +386,23 @@ class Trainer:
         return Path(path)
 
     def resume(self, ckpt: Checkpoint) -> None:
-        """Restore params, optimizer state, rng, and counters for bit-exact continuation."""
+        """Restore params, optimizer state, rng, and counters for bit-exact continuation.
+
+        Every entry read here, and every tensor's shape, is checked before
+        anything is restored, so a rejected checkpoint leaves the trainer as it was.
+        """
+        for what, table, names in (("tensor", ckpt.tensors, self.model.params),
+                                   ("optimizer array", ckpt.optimizer, self.opt.state_arrays()),
+                                   ("metadata key", ckpt.metadata, RESUME_METADATA)):
+            for name in names:
+                if name not in table:
+                    raise InputError(f"checkpoint has no {what} {name!r} to resume from")
         for name, param in self.model.params.items():
             src = ckpt.tensors[name]
             if tuple(src.shape) != tuple(param.shape):
                 raise DimensionError(f"{name}: resume shape {src.shape} vs model {param.shape}")
-            param.data = src.astype(np.float32)
+        for name, param in self.model.params.items():
+            param.data = ckpt.tensors[name].astype(np.float32)
         self.opt.load_state_arrays(ckpt.optimizer)
         meta = ckpt.metadata
         self.schedule_step = int(meta["step"])
@@ -445,7 +451,13 @@ def bench(cfg: TrainConfig, corpus: Corpus, steps: int, warmup: int = 5) -> dict
 # -- ablation workflow ------------------------------------------------------------------
 
 
-def run_ablation(cfg: TrainConfig, corpus: Corpus, run_dir: Path | None = None) -> dict:
+def final_loss(records: list[StepRecord]) -> float:
+    """Mean loss over the last ten attempted steps, overflowed ones left out."""
+    tail = [r.loss for r in records[-10:] if not r.overflow]
+    return float(np.mean(tail)) if tail else float("nan")
+
+
+def run_ablation(cfg: TrainConfig, corpus: Corpus, run_dir: Path) -> dict:
     """Four-arm recipe comparison at toy scale, plus the stage-0 pretraining
     run that provides the initialization checkpoint (twice the arm budget,
     standing in for a separately pretrained model).
@@ -453,19 +465,12 @@ def run_ablation(cfg: TrainConfig, corpus: Corpus, run_dir: Path | None = None) 
     Arms: from-scratch AdamW, initialized AdamW, initialized LAMB, and
     initialized LAMB with masking run for the summed step wall_time the
     unmasked LAMB arm took (so its step count shows the masking speedup).
+    Each arm trains in its own subdirectory of ``run_dir``.
     """
-    run_dir = Path(run_dir) if run_dir is not None else None
-    if run_dir is not None:
-        run_dir.mkdir(parents=True, exist_ok=True)
-
-    def final_loss(records):
-        tail = [r.loss for r in records[-10:] if not r.overflow]
-        return float(np.mean(tail)) if tail else float("nan")
 
     def run_arm(name, arm_cfg, budget=None):
-        arm_dir = run_dir / name if run_dir is not None else None
-        trainer = Trainer(arm_cfg, corpus, run_dir=arm_dir)
-        trainer.train(max_seconds=budget)
+        trainer = Trainer(arm_cfg, corpus, run_dir=run_dir / name)
+        final = trainer.train(max_seconds=budget)
         return {
             "name": name,
             "optimizer": arm_cfg.optimizer.kind,
@@ -474,8 +479,8 @@ def run_ablation(cfg: TrainConfig, corpus: Corpus, run_dir: Path | None = None) 
             "steps": trainer.schedule_step,
             "final_loss": final_loss(trainer.records),
             "wall_seconds": sum(r.wall_time for r in trainer.records),
-            "ckpt": str(arm_dir / "final.bin") if arm_dir is not None else "",
-        }, trainer
+            "ckpt": str(final),
+        }
 
     # arms keep only their final checkpoint
     base = replace(cfg, init_policy="scratch", init_checkpoint="",
@@ -484,37 +489,28 @@ def run_ablation(cfg: TrainConfig, corpus: Corpus, run_dir: Path | None = None) 
     adamw = replace(lamb, kind="adamw")
     mask_ratio = cfg.mask_ratio if cfg.mask_ratio > 0 else 0.5
 
-    pre_cfg = replace(base, optimizer=lamb, mask_ratio=0.0, total_steps=2 * cfg.total_steps)
-    pre_row, pre_trainer = run_arm("stage0-pretrain", pre_cfg)
-    if run_dir is not None:
-        init_path = run_dir / "stage0-pretrain" / "final.bin"
-    else:
-        init_path = Path(tempfile.mkdtemp(prefix="deskclip-ablate-")) / "stage0.bin"
-        pre_trainer.save(init_path)
-
-    init = dict(init_policy="both-from-checkpoint", init_checkpoint=str(init_path))
-    rows = [pre_row]
-    arm1, _ = run_arm("scratch-adamw", replace(base, optimizer=adamw, mask_ratio=0.0))
-    arm2, _ = run_arm("init-adamw", replace(base, optimizer=adamw, mask_ratio=0.0, **init))
-    arm3, _ = run_arm("init-lamb", replace(base, optimizer=lamb, mask_ratio=0.0, **init))
-    arm4, _ = run_arm(
+    pre_row = run_arm("stage0-pretrain", replace(base, optimizer=lamb, mask_ratio=0.0,
+                                                 total_steps=2 * cfg.total_steps))
+    init = dict(init_policy="both-from-checkpoint", init_checkpoint=pre_row["ckpt"])
+    arm1 = run_arm("scratch-adamw", replace(base, optimizer=adamw, mask_ratio=0.0))
+    arm2 = run_arm("init-adamw", replace(base, optimizer=adamw, mask_ratio=0.0, **init))
+    arm3 = run_arm("init-lamb", replace(base, optimizer=lamb, mask_ratio=0.0, **init))
+    arm4 = run_arm(
         "init-lamb-mask",
         replace(base, optimizer=lamb, mask_ratio=mask_ratio,
                 total_steps=cfg.total_steps * 4, **init),
         budget=arm3["wall_seconds"],
     )
-    rows += [arm1, arm2, arm3, arm4]
 
     report = {
-        "arms": rows,
+        "arms": [pre_row, arm1, arm2, arm3, arm4],
         "checks": {
             "init_beats_scratch": arm2["final_loss"] < arm1["final_loss"],
             "masked_steps_multiple": arm4["steps"] / max(arm3["steps"], 1),
         },
     }
-    if run_dir is not None:
-        (run_dir / "ablate.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-        (run_dir / "ablate.txt").write_text(format_ablation_table(report))
+    (run_dir / "ablate.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    (run_dir / "ablate.txt").write_text(format_ablation_table(report))
     return report
 
 

@@ -58,3 +58,15 @@ def test_unknown_dtype_code_rejected(tmp_path, blob):
     assert blob[code_at] == 0  # float32
     with pytest.raises(CorruptionError, match="unknown dtype code 7"):
         load_bytes(tmp_path, blob[:code_at] + b"\x07" + blob[code_at + 1:])
+
+
+def test_every_bit_flip_loads_or_raises_a_format_error(tmp_path, blob):
+    for bit in range(8 * len(blob)):
+        flipped = bytearray(blob)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        try:
+            load_bytes(tmp_path, bytes(flipped))
+        except CorruptionError as err:
+            assert err.offset is not None, bit
+        except FormatError:
+            pass  # magic or version

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from deskclip.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from deskclip.cli import apply_overrides, format_config, new_run_dir, parse_config_file, run
 from deskclip.encoders import ImageEncoderConfig, ModelConfig, TextEncoderConfig
 from deskclip.errors import InputError
@@ -253,3 +254,41 @@ class TestEndToEnd:
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err
         assert not (tmp_path / "runs").exists()
+
+
+class TestRejectedCheckpoints:
+    @pytest.fixture(scope="class")
+    def trained(self, workspace):
+        root = workspace / "runs-rejected"
+        assert run(["--run-root", str(root), "train", "--config", str(workspace / "train.cfg"),
+                    "--set", "total_steps=2", "--set", "warmup_steps=1"]) == 0
+        return load_checkpoint(next(root.iterdir()) / "final.bin")
+
+    @pytest.mark.parametrize("table, drop, entry", [
+        ("optimizer", None, "m/image.patch_embed.weight"),
+        ("tensors", "text.proj", "text.proj"),
+        ("metadata", "rng_state", "rng_state"),
+    ], ids=["no-optimizer-table", "missing-tensor", "missing-metadata-key"])
+    def test_resume_names_missing_entry(self, workspace, trained, tmp_path, capsys, table, drop, entry):
+        tables = {"tensors": dict(trained.tensors), "optimizer": dict(trained.optimizer),
+                  "metadata": dict(trained.metadata)}
+        if drop is None:
+            tables[table].clear()
+        else:
+            del tables[table][drop]
+        save_checkpoint(tmp_path / "partial.bin", Checkpoint(**tables))
+        code = run(["--run-root", str(tmp_path / "runs"), "train",
+                    "--config", str(workspace / "train.cfg"),
+                    "--resume", str(tmp_path / "partial.bin")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(entry) in err
+        assert list((tmp_path / "runs").glob("train-*")) == []
+
+    def test_eval_names_missing_config(self, trained, tmp_path, capsys):
+        save_checkpoint(tmp_path / "bare.bin", Checkpoint(trained.tensors, trained.optimizer, {}))
+        code = run(["--run-root", str(tmp_path / "runs"), "eval", "--ckpt", str(tmp_path / "bare.bin")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'config'" in err
+        assert list((tmp_path / "runs").glob("eval-*")) == []

@@ -99,6 +99,22 @@ class TestShards:
         with pytest.raises(FormatError):
             list(read_shard(p))
 
+    def test_every_bit_flip_loads_or_raises_a_format_error(self, tmp_path):
+        records = [ShardRecord(c, np.full((3, 2, 2), c, dtype=np.uint8), b"abc") for c in (1, 2)]
+        p = tmp_path / "s.shard"
+        write_shard(records, p)
+        blob = p.read_bytes()
+        for bit in range(8 * len(blob)):
+            flipped = bytearray(blob)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            p.write_bytes(bytes(flipped))
+            try:
+                list(read_shard(p, (3, 2, 2)))
+            except CorruptionError as err:
+                assert err.offset is not None, bit
+            except FormatError:
+                pass  # magic or version
+
 
 class TestCorpusGeneration:
     def test_record_count_and_uniform_histogram(self, tmp_path):

@@ -1,6 +1,8 @@
+import gc
 import json
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -263,6 +265,16 @@ class TestCheckpointing:
         for line in lines:
             rec = json.loads(line)
             assert set(rec) == {"step", "loss", "lrs", "logit_scale", "overflow", "tokens", "wall_time"}
+
+    def test_step_log_not_held_open_between_steps(self, corpus, tmp_path):
+        trainer = Trainer(tiny_cfg(total_steps=5, warmup_steps=1), corpus, run_dir=tmp_path / "run")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            trainer.train_step(trainer.stream.batch_at(0, 4))
+            del trainer  # stepped without train(), as a caller that stops early would
+            gc.collect()
+        assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
+        assert len((tmp_path / "run" / "steps.jsonl").read_text().splitlines()) == 1
 
 
 class TestConfig:
