@@ -252,24 +252,39 @@ def _linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return T.reshape(out, lead + (weight.shape[-1],))
 
 
-def _attention(x: Tensor, params: dict[str, Tensor], prefix: str, heads: int, causal: bool) -> Tensor:
-    b, n, width = x.shape
+def _attention(
+    h: Tensor, params: dict[str, Tensor], prefix: str, heads: int, causal: bool,
+    rows: np.ndarray | None = None,
+) -> Tensor:
+    """Multi-head self-attention over ``h`` [b, n, width].
+
+    Keys and values cover every position. Queries come from every position,
+    or only from ``rows`` [b, k] when given, so the output is [b, k, width];
+    a causal row keeps the keys at or before its own position.
+    """
+    b, n, width = h.shape
     hd = width // heads
 
     def split_heads(t):
-        return T.transpose(T.reshape(t, (b, n, heads, hd)), (0, 2, 1, 3))
+        return T.transpose(T.reshape(t, (b, t.shape[1], heads, hd)), (0, 2, 1, 3))
 
-    q = split_heads(_linear(x, params[f"{prefix}.q.weight"], params[f"{prefix}.q.bias"]))
-    k = split_heads(_linear(x, params[f"{prefix}.k.weight"], params[f"{prefix}.k.bias"]))
-    v = split_heads(_linear(x, params[f"{prefix}.v.weight"], params[f"{prefix}.v.bias"]))
+    hq = h if rows is None else T.take_tokens(h, rows)
+    m = hq.shape[1]
+    q = split_heads(_linear(hq, params[f"{prefix}.q.weight"], params[f"{prefix}.q.bias"]))
+    k = split_heads(_linear(h, params[f"{prefix}.k.weight"], params[f"{prefix}.k.bias"]))
+    v = split_heads(_linear(h, params[f"{prefix}.v.weight"], params[f"{prefix}.v.bias"]))
 
     scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(hd))
     if causal:
-        mask = np.triu(np.full((n, n), NEG_INF, dtype=np.float32), k=1)
-        scores = T.add(scores, Tensor(mask.reshape(1, 1, n, n)))
+        if rows is None:
+            mask = np.triu(np.full((n, n), NEG_INF, dtype=np.float32), k=1).reshape(1, 1, n, n)
+        else:
+            after = np.arange(n) > rows[:, :, None]
+            mask = np.where(after, np.float32(NEG_INF), np.float32(0.0)).reshape(b, 1, m, n)
+        scores = T.add(scores, Tensor(mask))
     weights = T.softmax_rows(scores)
     out = T.matmul(weights, v)
-    out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (b, n, width))
+    out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (b, m, width))
     return _linear(out, params[f"{prefix}.proj.weight"], params[f"{prefix}.proj.bias"])
 
 
@@ -293,15 +308,43 @@ def _block(
     causal: bool,
     dp_rate: float = 0.0,
     rng: np.random.Generator | None = None,
+    rows: np.ndarray | None = None,
 ) -> Tensor:
+    """One pre-norm block; with ``rows`` [b, k] it returns only those rows [b, k, width]."""
     p = f"blocks.{i}"
     training = rng is not None  # only training forwards pass their generator
     h = T.layer_norm(x, params[f"{p}.norm1.gain"], params[f"{p}.norm1.bias"])
-    x = T.add(x, drop_path(_attention(h, params, f"{p}.attn", heads, causal), dp_rate, rng, training))
+    if rows is not None:
+        x = T.take_tokens(x, rows)
+    x = T.add(x, drop_path(_attention(h, params, f"{p}.attn", heads, causal, rows), dp_rate, rng, training))
     h = T.layer_norm(x, params[f"{p}.norm2.gain"], params[f"{p}.norm2.bias"])
     h = _linear(T.gelu(_linear(h, params[f"{p}.mlp.fc.weight"], params[f"{p}.mlp.fc.bias"])),
                 params[f"{p}.mlp.proj.weight"], params[f"{p}.mlp.proj.bias"])
     return T.add(x, drop_path(h, dp_rate, rng, training))
+
+
+def _blocks_pooled(
+    x: Tensor,
+    params: dict[str, Tensor],
+    layers: int,
+    heads: int,
+    causal: bool,
+    rows: np.ndarray,
+    dp_rate: float = 0.0,
+    rng: np.random.Generator | None = None,
+) -> Tensor:
+    """Run every block and return the pooled ``rows`` [b, 1] as [b, width].
+
+    Only the last block is pruned to ``rows``: the pooled row reads every
+    position's keys and values there, and nothing reads its other rows.
+    """
+    for i in range(layers - 1):
+        x = _block(x, params, i, heads, causal, dp_rate, rng)
+    if layers:
+        x = _block(x, params, layers - 1, heads, causal, dp_rate, rng, rows=rows)
+    else:
+        x = T.take_tokens(x, rows)
+    return T.reshape(x, (x.shape[0], x.shape[2]))
 
 
 def encode_image(
@@ -369,12 +412,11 @@ def encode_text(
         raise InputError(f"row {int(bad[0])} has {int(eos_counts[bad[0]])} end-of-sequence tokens, expected 1")
     validate_params(text_param_shapes(cfg, embed_dim), params, "text")
 
-    x = T.embedding(params["token_embed.weight"], ids)
-    x = T.add(x, T.embedding(params["pos_embed"], np.arange(length)))
-    for i in range(cfg.layers):
-        x = _block(x, params, i, cfg.heads, causal=True)
-
+    # causal attention: positions after the batch's last EOS never reach a pooled row
     eos_pos = np.argmax(ids == cfg.eos_id, axis=1).reshape(b, 1)
-    feat = T.reshape(T.take_tokens(x, eos_pos), (b, cfg.width))
+    ids = ids[:, : int(eos_pos.max()) + 1]
+    x = T.embedding(params["token_embed.weight"], ids)
+    x = T.add(x, T.embedding(params["pos_embed"], np.arange(ids.shape[1])))
+    feat = _blocks_pooled(x, params, cfg.layers, cfg.heads, causal=True, rows=eos_pos)
     out = T.l2_normalize_rows(T.matmul(feat, params["proj"]))
     return EmbeddingOutput(out, normalized=True)

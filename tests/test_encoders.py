@@ -12,6 +12,7 @@ from deskclip.encoders import (
     TextEncoderConfig,
     _block,
     _block_shapes,
+    _blocks_pooled,
     count_params,
     image_param_shapes,
     interpolate_pos_embed,
@@ -276,22 +277,23 @@ class TestDropPath:
         assert not np.array_equal(plain, trained)
 
 
+@pytest.mark.parametrize("rows", [None, np.array([[4], [0], [2]])], ids=["all-rows", "pruned"])
 @pytest.mark.parametrize("causal", [False, True])
-def test_block_float32_gradients_match_float64_oracle(causal):
+def test_block_float32_gradients_match_float64_oracle(causal, rows):
     """One transformer block in float32 storage against its float64 copy."""
     rng = np.random.default_rng(11)
     width, heads = 16, 2
     base = {f"blocks.0.{name}": rng.standard_normal(shape) * 0.3
             for name, shape in _block_shapes(width).items()}
     x0 = rng.standard_normal((3, 5, width))
-    proj = rng.standard_normal((3, 5, width))
+    proj = rng.standard_normal((3, 5 if rows is None else rows.shape[1], width))
 
     grads = {}
     for dtype in (np.float32, np.float64):
         params = {k: Tensor(v.astype(np.float32), requires_grad=True, dtype=dtype)
                   for k, v in base.items()}
         x = Tensor(x0.astype(np.float32), requires_grad=True, dtype=dtype)
-        out = _block(x, params, 0, heads, causal=causal)
+        out = _block(x, params, 0, heads, causal=causal, rows=rows)
         assert out.dtype == dtype
         T.backward(T.tsum(T.mul(out, Tensor(proj, dtype=dtype))))
         grads[dtype] = {"x": x.grad, **{k: p.grad for k, p in params.items()}}
@@ -303,3 +305,115 @@ def test_block_float32_gradients_match_float64_oracle(causal):
         g32 = grads[np.float32][name]
         assert g32.dtype == np.float32
         np.testing.assert_allclose(g32, g64, rtol=1e-3, atol=1e-5, err_msg=name)
+
+
+def full_sequence_pooled(x, params, layers, heads, causal, rows, dp_rate=0.0, rng=None):
+    """Reference tower body: every block on every position, then pool ``rows``."""
+    for i in range(layers):
+        x = _block(x, params, i, heads, causal, dp_rate, rng)
+    return T.reshape(T.take_tokens(x, rows), (x.shape[0], x.shape[2]))
+
+
+def reference_text(ids, model):
+    """encode_text without the EOS truncation or the row-pruned last block."""
+    cfg, params = model.cfg.text, model.tower_params("text")
+    x = T.add(T.embedding(params["token_embed.weight"], ids),
+              T.embedding(params["pos_embed"], np.arange(ids.shape[1])))
+    eos = np.argmax(ids == cfg.eos_id, axis=1).reshape(-1, 1)
+    feat = full_sequence_pooled(x, params, cfg.layers, cfg.heads, True, eos)
+    return T.l2_normalize_rows(T.matmul(feat, params["proj"]))
+
+
+def embedding_and_grads(model, encode):
+    out = encode()
+    weights = np.random.default_rng(12).standard_normal(out.shape).astype(np.float32)
+    T.backward(T.tsum(T.mul(out, Tensor(weights))))
+    grads = {name: p.grad for name, p in model.trainable().items() if p.grad is not None}
+    T.zero_grads(model.trainable().values())
+    return out.data, grads
+
+
+def assert_same_embedding_and_grads(model, pruned, reference):
+    out, grads = embedding_and_grads(model, pruned)
+    ref_out, ref_grads = embedding_and_grads(model, reference)
+    np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-6)
+    assert sorted(grads) == sorted(ref_grads)
+    for name, g in grads.items():
+        np.testing.assert_allclose(g, ref_grads[name], rtol=0, atol=1e-6, err_msg=name)
+
+
+def float64_model(cfg, seed):
+    """float64 storage, so a pruning error cannot hide under float32 rounding."""
+    m = ClipModel.init(cfg, seed)
+    for p in m.params.values():
+        p.data = p.data.astype(np.float64)
+    return m
+
+
+class TestPooledRowsOnly:
+    """The towers compute only what their pooled row reads, with unchanged results."""
+
+    @pytest.mark.parametrize("mask", [None, MaskSpec(0.5)], ids=["unmasked", "masked"])
+    def test_image_matches_full_sequence_reference(self, monkeypatch, mask):
+        cfg = preset("tiny")
+        m = float64_model(replace(cfg, image=replace(cfg.image, drop_path=0.25)), 0)
+        imgs = np.random.default_rng(13).standard_normal((5, 3, 32, 32)).astype(np.float32)
+
+        def encode():
+            return m.encode_image(imgs, mask=mask, rng=np.random.default_rng(5)).vector
+
+        def reference():
+            with monkeypatch.context() as patch:
+                patch.setattr(encoders, "_blocks_pooled", full_sequence_pooled)
+                return encode()
+
+        assert_same_embedding_and_grads(m, encode, reference)
+
+    def test_text_matches_full_sequence_reference(self):
+        m = float64_model(preset("tiny"), 0)
+        ids = make_ids([5, 32, 9, 17, 2], 32)  # EOS at every kind of position, the last included
+        assert_same_embedding_and_grads(
+            m, lambda: m.encode_text(ids).vector, lambda: reference_text(ids, m))
+
+    def test_text_blocks_see_positions_through_the_last_eos(self, monkeypatch):
+        m = tiny_model()
+        seen = []
+
+        def spy(x, *args, **kwargs):
+            seen.append((x.shape[1], kwargs.get("rows") is not None))
+            return _block(x, *args, **kwargs)
+
+        monkeypatch.setattr(encoders, "_block", spy)
+        m.encode_text(make_ids([5, 14, 9], 32))
+        assert seen == [(14, False), (14, True)]
+
+    def test_zero_layer_towers_pool_the_class_and_eos_rows(self):
+        cfg = ModelConfig(
+            image=ImageEncoderConfig(layers=0, width=8, heads=2, image_size=16, patch_size=8),
+            text=TextEncoderConfig(layers=0, width=6, heads=2, vocab_size=11, context_length=5),
+            embed_dim=4,
+        )
+        m = ClipModel.init(cfg, 3)
+        p = {name: t.data.astype(np.float64) for name, t in m.params.items()}
+
+        def unit(v):
+            return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+        imgs = np.random.default_rng(14).standard_normal((2, 3, 16, 16)).astype(np.float32)
+        cls = p["image.cls_token"] + p["image.pos_embed"][0]
+        cls = (cls - cls.mean()) / np.sqrt(cls.var() + 1e-5)
+        cls = cls * p["image.final_norm.gain"] + p["image.final_norm.bias"]
+        expected = unit(np.tile(cls @ p["image.proj"], (2, 1)))
+        np.testing.assert_allclose(m.encode_image(imgs).vector.data, expected, atol=1e-6)
+
+        ids = np.array([[10, 0, 0, 0, 0], [1, 2, 3, 4, 10]])
+        eos = p["text.token_embed.weight"][10] + p["text.pos_embed"][[0, 4]]
+        expected = unit(eos @ p["text.proj"])
+        np.testing.assert_allclose(m.encode_text(ids).vector.data, expected, atol=1e-6)
+
+
+def test_blocks_pooled_returns_one_row_per_example():
+    m = tiny_model()
+    x = Tensor(np.random.default_rng(15).standard_normal((3, 6, 64)).astype(np.float32))
+    out = _blocks_pooled(x, m.tower_params("text"), 2, 2, True, np.array([[5], [0], [3]]))
+    assert out.shape == (3, 64)

@@ -6,6 +6,7 @@ import pytest
 from scipy.special import erf
 
 from deskclip import tensor as T
+from deskclip.encoders import _block, _block_shapes
 from deskclip.errors import ContractError, DimensionError
 from deskclip.tensor import Tensor
 
@@ -219,6 +220,20 @@ def _const(arr, x):
 _IDS = np.array([[0, 2], [1, 1]])
 _TOK_IDX = np.array([[0, 2], [3, 1]])
 _TOK_IDX_REPEATED = np.array([[1, 1], [3, 0]])
+_POOLED_ROWS = np.array([[3], [1]])  # one row at the last position, one inside
+_BLOCK_SHAPES = _block_shapes(8)
+
+
+def _pruned_causal_block(x, c):
+    """Width-8 causal block computing only ``_POOLED_ROWS``, parameters drawn from one vector."""
+    flat = c((sum(int(np.prod(s)) for s in _BLOCK_SHAPES.values()),)) * 0.3
+    params, at = {}, 0
+    for name, shape in _BLOCK_SHAPES.items():
+        size = int(np.prod(shape))
+        params[f"blocks.0.{name}"] = _const(flat[at:at + size].reshape(shape), x)
+        at += size
+    return _block(x, params, 0, heads=2, causal=True, rows=_POOLED_ROWS)
+
 
 # (name, input shape, graph builder): one probe per differentiable op
 OP_CASES = [
@@ -244,6 +259,7 @@ OP_CASES = [
     ("softmax", (3, 5), lambda x, c: T.softmax_rows(x)),
     ("log_softmax", (3, 5), lambda x, c: T.log_softmax_rows(x)),
     ("l2_normalize", (3, 5), lambda x, c: T.l2_normalize_rows(x)),
+    ("causal_block_pruned_rows", (2, 4, 8), _pruned_causal_block),
 ]
 
 
