@@ -308,8 +308,14 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     data = np.ascontiguousarray(table.data[ids])
 
     def backward(g):
+        # sort the occurrences so each id's rows are contiguous, then sum each
+        # run with one reduceat; np.add.at would scatter row by row
+        flat = ids.reshape(-1)
+        order = np.argsort(flat, kind="stable")
+        sorted_ids = flat[order]
+        starts = np.flatnonzero(np.r_[True, sorted_ids[1:] != sorted_ids[:-1]])
         dt = np.zeros_like(table.data)
-        np.add.at(dt, ids.reshape(-1), g.reshape(-1, table.shape[-1]))
+        dt[sorted_ids[starts]] = np.add.reduceat(g.reshape(-1, table.shape[-1])[order], starts, axis=0)
         return (dt,)
 
     return _make(data, (table,), backward)

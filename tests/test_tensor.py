@@ -195,6 +195,31 @@ class TestPrecisionPolicy:
         assert h.grad is None and y.grad is None
 
 
+class TestEmbeddingBackward:
+    def test_repeated_ids_sum_within_float32_rounding(self):
+        """Each row's gradient is the sum of its occurrences, up to float32 summation order."""
+        rng = np.random.default_rng(12)
+        vocab, width = 259, 64
+        ids = rng.integers(0, vocab, (64, 22))
+        ids[:, 10:] = 256  # a padding id repeated hundreds of times, like caption batches
+        g = rng.standard_normal((64, 22, width)).astype(np.float32) * 4.0
+        table = Tensor(rng.standard_normal((vocab, width)), requires_grad=True)
+        T.backward(T.tsum(T.mul(T.embedding(table, ids), Tensor(g))))
+
+        exact = np.zeros((vocab, width))
+        magnitude = np.zeros((vocab, width))
+        for i, row in zip(ids.reshape(-1), g.reshape(-1, width).astype(np.float64)):
+            exact[i] += row
+            magnitude[i] += np.abs(row)
+        count = np.bincount(ids.reshape(-1), minlength=vocab)[:, None]
+        # a float32 sum of n terms is off by at most (n - 1) ulp-halves of the magnitude sum
+        bound = np.maximum(count - 1, 0) * np.finfo(np.float32).eps / 2 * magnitude
+        err = np.abs(table.grad.astype(np.float64) - exact)
+        assert table.grad.dtype == np.float32
+        assert np.all(err <= bound + np.abs(exact) * np.finfo(np.float32).eps / 2)
+        np.testing.assert_array_equal(table.grad[count[:, 0] == 0], 0.0)
+
+
 class TestGradCheck:
     def test_sum_of_squares_is_tight(self):
         rng = np.random.default_rng(6)
