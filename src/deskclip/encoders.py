@@ -5,6 +5,11 @@ class token, adds positional embeddings, and (in training) may drop a random
 subset of patch tokens before the blocks; the class token always survives.
 The text tower runs causal attention and pools at the end-of-sequence token,
 whose id is by convention ``vocab_size - 1``.
+
+Each embedding reads one row of its tower's last block: the class token or
+the end-of-sequence token. So that block computes its queries, residual and
+MLP for that row alone, and the text tower drops the positions after the
+batch's last end-of-sequence token before its embedding.
 """
 
 from __future__ import annotations
@@ -382,10 +387,9 @@ def encode_image(
         idx = np.concatenate([np.zeros((b, 1), dtype=np.int64), kept + 1], axis=1)
         x = T.take_tokens(x, idx)
 
-    for i in range(cfg.layers):
-        x = _block(x, params, i, cfg.heads, causal=False, dp_rate=cfg.drop_path, rng=rng)
-
-    cls_feat = T.reshape(T.take_tokens(x, np.zeros((b, 1), dtype=np.int64)), (b, cfg.width))
+    cls_rows = np.zeros((b, 1), dtype=np.int64)  # the class token is row 0, masked or not
+    cls_feat = _blocks_pooled(x, params, cfg.layers, cfg.heads, causal=False, rows=cls_rows,
+                              dp_rate=cfg.drop_path, rng=rng)
     feat = T.layer_norm(cls_feat, params["final_norm.gain"], params["final_norm.bias"])
     out = T.l2_normalize_rows(T.matmul(feat, params["proj"]))
     return EmbeddingOutput(out, normalized=True)
