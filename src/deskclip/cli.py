@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import shutil
 import sys
 from pathlib import Path
 
@@ -105,17 +104,18 @@ def _cmd_gen_data(args) -> int:
 def _cmd_train(args) -> int:
     cfg, resolved, corpus = _load_train_config(args)
     resume = load_checkpoint(args.resume) if args.resume else None
-    run_dir = new_run_dir("train", args.run_root)
+    # everything that can reject the run happens before its directory exists
+    trainer = Trainer(cfg, corpus)
+    if resume is not None:
+        trainer.resume(resume)
+        if trainer.schedule_step >= cfg.total_steps:
+            raise InputError(f"{args.resume}: checkpoint is at step {trainer.schedule_step}, "
+                             f"already at or past total_steps {cfg.total_steps}")
+    run_dir = trainer.run_dir = new_run_dir("train", args.run_root)
     (run_dir / "resolved.cfg").write_text(resolved)
-    trainer = Trainer(cfg, corpus, run_dir=run_dir)
     if trainer.load_report is not None:
         print(f"initialization: {trainer.load_report.summary()}")
     if resume is not None:
-        try:
-            trainer.resume(resume)
-        except DeskclipError:
-            shutil.rmtree(run_dir)  # nothing has run in it yet
-            raise
         print(f"resumed at step {trainer.schedule_step}")
     final = trainer.train()
     print(f"run dir: {run_dir}")

@@ -308,8 +308,7 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     data = np.ascontiguousarray(table.data[ids])
 
     def backward(g):
-        # sort the occurrences so each id's rows are contiguous, then sum each
-        # run with one reduceat; np.add.at would scatter row by row
+        # a stable sort makes each id's rows contiguous, so one reduceat sums every run
         flat = ids.reshape(-1)
         order = np.argsort(flat, kind="stable")
         sorted_ids = flat[order]

@@ -285,6 +285,26 @@ class TestRejectedCheckpoints:
         assert err.startswith("error:") and repr(entry) in err
         assert list((tmp_path / "runs").glob("train-*")) == []
 
+    def test_resume_at_or_past_total_steps_is_rejected(self, workspace, trained, tmp_path, capsys):
+        save_checkpoint(tmp_path / "final.bin", trained)  # written at step 2
+        code = run(["--run-root", str(tmp_path / "runs"), "train",
+                    "--config", str(workspace / "train.cfg"), "--set", "total_steps=1",
+                    "--set", "warmup_steps=0", "--resume", str(tmp_path / "final.bin")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "step 2" in err and "total_steps 1" in err
+        assert list((tmp_path / "runs").glob("train-*")) == []
+
+    def test_missing_init_checkpoint_leaves_no_run_dir(self, workspace, tmp_path, capsys):
+        code = run(["--run-root", str(tmp_path / "runs"), "train",
+                    "--config", str(workspace / "train.cfg"),
+                    "--set", "init_policy=both-from-checkpoint",
+                    "--set", f"init_checkpoint={tmp_path / 'absent.bin'}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "absent.bin" in err
+        assert list((tmp_path / "runs").glob("train-*")) == []
+
     def test_eval_names_missing_config(self, trained, tmp_path, capsys):
         save_checkpoint(tmp_path / "bare.bin", Checkpoint(trained.tensors, trained.optimizer, {}))
         code = run(["--run-root", str(tmp_path / "runs"), "eval", "--ckpt", str(tmp_path / "bare.bin")])

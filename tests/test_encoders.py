@@ -12,7 +12,6 @@ from deskclip.encoders import (
     TextEncoderConfig,
     _block,
     _block_shapes,
-    _blocks_pooled,
     count_params,
     image_param_shapes,
     interpolate_pos_embed,
@@ -411,9 +410,3 @@ class TestPooledRowsOnly:
         expected = unit(eos @ p["text.proj"])
         np.testing.assert_allclose(m.encode_text(ids).vector.data, expected, atol=1e-6)
 
-
-def test_blocks_pooled_returns_one_row_per_example():
-    m = tiny_model()
-    x = Tensor(np.random.default_rng(15).standard_normal((3, 6, 64)).astype(np.float32))
-    out = _blocks_pooled(x, m.tower_params("text"), 2, 2, True, np.array([[5], [0], [3]]))
-    assert out.shape == (3, 64)
