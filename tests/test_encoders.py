@@ -361,9 +361,13 @@ class TestPooledRowsOnly:
         def encode():
             return m.encode_image(imgs, mask=mask, rng=np.random.default_rng(5)).vector
 
+        def class_token_pooled(x, params, layers, heads, causal, rows, dp_rate, rng):
+            return full_sequence_pooled(x, params, layers, heads, causal,
+                                        np.zeros((len(imgs), 1), dtype=np.int64), dp_rate, rng)
+
         def reference():
             with monkeypatch.context() as patch:
-                patch.setattr(encoders, "_blocks_pooled", full_sequence_pooled)
+                patch.setattr(encoders, "_blocks_pooled", class_token_pooled)
                 return encode()
 
         assert_same_embedding_and_grads(m, encode, reference)
