@@ -23,7 +23,7 @@ w_star = rng.standard_normal(10)
 
 for kind in ("lamb", "adamw"):
     p = Tensor(rng.standard_normal(10).astype(np.float32), requires_grad=True)
-    opt = Optimizer({"w": p}, [ParamGroup("all", ["w"], peak_lr=0.05, depths={"w": 1})],
+    opt = Optimizer({"w": p}, [ParamGroup("all", ["w"], peak_lr=0.05)],
                     OptimizerConfig(kind, weight_decay=0.0))
     sched = Schedule(warmup_steps=100, total_steps=4000, shape="cosine")
     for step in range(4000):

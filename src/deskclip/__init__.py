@@ -39,7 +39,6 @@ from .encoders import (
     sample_mask,
 )
 from .evaluation import (
-    ClassEmbedding,
     EvalReport,
     build_class_embeddings,
     center_frame,
@@ -51,7 +50,7 @@ from .evaluation import (
     zero_shot_classify,
 )
 from .model import ClipModel, preset
-from .objective import LogitScale, clamp_scale, clip_loss, similarity_logits
+from .objective import clamp_scale, clip_loss, similarity_logits
 from .optim import (
     LossScalerState,
     Optimizer,

@@ -98,8 +98,7 @@ class MaskSpec:
 
 @dataclass
 class EmbeddingOutput:
-    vector: Tensor  # [batch, embed_dim]
-    normalized: bool
+    vector: Tensor  # [batch, embed_dim], unit-norm rows
 
 
 # -- parameter tables ---------------------------------------------------------
@@ -281,12 +280,9 @@ def _attention(
 
     scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(hd))
     if causal:
-        if rows is None:
-            mask = np.triu(np.full((n, n), NEG_INF, dtype=np.float32), k=1).reshape(1, 1, n, n)
-        else:
-            after = np.arange(n) > rows[:, :, None]
-            mask = np.where(after, np.float32(NEG_INF), np.float32(0.0)).reshape(b, 1, m, n)
-        scores = T.add(scores, Tensor(mask))
+        q_pos = np.arange(n)[None] if rows is None else rows  # [1, n] or [b, k]
+        after = np.arange(n) > q_pos[:, :, None]
+        scores = T.add(scores, Tensor(np.where(after, np.float32(NEG_INF), np.float32(0.0))[:, None]))
     weights = T.softmax_rows(scores)
     out = T.matmul(weights, v)
     out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (b, m, width))
@@ -392,7 +388,7 @@ def encode_image(
                               dp_rate=cfg.drop_path, rng=rng)
     feat = T.layer_norm(cls_feat, params["final_norm.gain"], params["final_norm.bias"])
     out = T.l2_normalize_rows(T.matmul(feat, params["proj"]))
-    return EmbeddingOutput(out, normalized=True)
+    return EmbeddingOutput(out)
 
 
 def encode_text(
@@ -405,6 +401,8 @@ def encode_text(
     ids = np.asarray(token_ids)
     if ids.ndim != 2:
         raise DimensionError(f"token ids must be [b, L], got {ids.shape}")
+    if ids.size == 0:
+        raise InputError(f"token ids {ids.shape} hold no tokens")
     b, length = ids.shape
     if length > cfg.context_length:
         raise DimensionError(f"sequence length {length} exceeds context {cfg.context_length}")
@@ -423,4 +421,4 @@ def encode_text(
     x = T.add(x, T.embedding(params["pos_embed"], np.arange(ids.shape[1])))
     feat = _blocks_pooled(x, params, cfg.layers, cfg.heads, causal=True, rows=eos_pos)
     out = T.l2_normalize_rows(T.matmul(feat, params["proj"]))
-    return EmbeddingOutput(out, normalized=True)
+    return EmbeddingOutput(out)

@@ -20,13 +20,6 @@ REPORT_SCHEMA_VERSION = 1
 DEFAULT_TEMPLATES = ("a photo of a {}",)
 
 
-@dataclass
-class ClassEmbedding:
-    name: str
-    templates: tuple[str, ...]
-    vector: np.ndarray  # unit-norm [d]
-
-
 def _normalize_rows(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     return x / np.linalg.norm(x, axis=-1, keepdims=True)
@@ -48,30 +41,24 @@ def build_class_embeddings(
     class_names: Sequence[str],
     templates: Sequence[str],
     encode_texts: Callable[[Sequence[str]], np.ndarray],
-) -> list[ClassEmbedding]:
-    """Per class: embed each filled template, normalize, average, renormalize."""
+) -> np.ndarray:
+    """Unit class table [classes, d]: embed every filled template in one
+    ``encode_texts`` call, normalize each, average per class, renormalize."""
     if not class_names:
         raise InputError("no class names given")
     if not templates:
         raise InputError("need at least one prompt template")
-    out = []
-    for name in class_names:
-        embs = _normalize_rows(encode_texts([t.format(name) for t in templates]))
-        mean = embs.mean(axis=0)
-        out.append(ClassEmbedding(name, tuple(templates), mean / np.linalg.norm(mean)))
-    return out
+    embs = _normalize_rows(encode_texts([t.format(name) for name in class_names for t in templates]))
+    return _normalize_rows(embs.reshape(len(class_names), len(templates), -1).mean(axis=1))
 
 
 def zero_shot_classify(
     image_embeddings: np.ndarray,
-    class_embeddings: Sequence[ClassEmbedding] | np.ndarray,
+    table: np.ndarray,
     labels: np.ndarray | None = None,
 ) -> dict:
-    """Argmax of cosine similarity; ties break toward the lowest class index."""
-    if isinstance(class_embeddings, np.ndarray):
-        table = class_embeddings
-    else:
-        table = np.stack([c.vector for c in class_embeddings])
+    """Argmax of cosine similarity against the [classes, d] ``table``; ties
+    break toward the lowest class index."""
     img = np.asarray(image_embeddings, dtype=np.float64)
     if img.shape[-1] != table.shape[-1]:
         raise DimensionError(

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
@@ -13,31 +11,20 @@ from .model import MAX_LOG_SCALE
 from .tensor import Tensor
 
 
-@dataclass
-class LogitScale:
-    log_scale: Tensor  # shape (1,), learnable
-
-    @property
-    def value(self) -> float:
-        return float(np.exp(min(self.log_scale.item(), MAX_LOG_SCALE)))
-
-
 def _check_normalized(emb: EmbeddingOutput, side: str) -> None:
-    if not emb.normalized:
-        raise ContractError(f"{side} embeddings are not marked normalized")
     norms = np.linalg.norm(emb.vector.data.astype(np.float64), axis=-1)
     worst = float(np.abs(norms - 1.0).max())
     if worst > 1e-4:
         raise ContractError(f"{side} embeddings deviate from unit norm by {worst:.2e}")
 
 
-def similarity_logits(img: EmbeddingOutput, txt: EmbeddingOutput, scale: LogitScale) -> Tensor:
-    """scale * <img_i, txt_j> for every pair in the batch."""
+def similarity_logits(img: EmbeddingOutput, txt: EmbeddingOutput, log_scale: Tensor) -> Tensor:
+    """exp(log_scale) * <img_i, txt_j> for every pair in the batch."""
     _check_normalized(img, "image")
     _check_normalized(txt, "text")
     if img.vector.shape != txt.vector.shape:
         raise DimensionError(f"embedding shapes differ: {img.vector.shape} vs {txt.vector.shape}")
-    s = T.exp(scale.log_scale)
+    s = T.exp(log_scale)
     sims = T.matmul(img.vector, T.transpose(txt.vector, (1, 0)))
     return T.mul(sims, s)
 
@@ -53,6 +40,6 @@ def clip_loss(logits: Tensor) -> Tensor:
     return T.mul(T.add(rows, cols), Tensor(np.array(-0.5 / b, dtype=np.float32)))
 
 
-def clamp_scale(scale: LogitScale) -> None:
-    """Pull log_scale back below its cap; call after every optimizer step."""
-    scale.log_scale.data = np.minimum(scale.log_scale.data, np.float32(MAX_LOG_SCALE))
+def clamp_scale(log_scale: Tensor) -> None:
+    """Pull the learnable log scale back below its cap; call after every optimizer step."""
+    log_scale.data = np.minimum(log_scale.data, np.float32(MAX_LOG_SCALE))

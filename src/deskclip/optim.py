@@ -54,13 +54,7 @@ class ParamGroup:
     name: str
     member_names: list[str]
     peak_lr: float
-    layer_decay: float = 1.0
-    depths: dict[str, int] = field(default_factory=dict)  # member -> depth index
-    num_layers: int = 0
-
-    def __post_init__(self):
-        if not 0.0 < self.layer_decay <= 1.0:
-            raise ContractError(f"layer_decay must be in (0, 1], got {self.layer_decay}")
+    lr_scales: dict[str, float] = field(default_factory=dict)  # member -> LR multiplier, 1.0 if absent
 
 
 @dataclass(frozen=True)
@@ -188,12 +182,10 @@ class Optimizer:
         apply = lamb_step if self.cfg.kind == "lamb" else adamw_step
         self.last_effective_lrs = {}
         for group in self.groups:
-            scales = layer_scales(group.layer_decay, group.num_layers)
             for name in group.member_names:
                 param = self.params[name]
                 grad = param.grad if param.grad is not None else np.zeros_like(param.data)
-                depth = group.depths.get(name, group.num_layers + 1)
-                lr = group_lrs[group.name] * float(scales[depth])
+                lr = group_lrs[group.name] * group.lr_scales.get(name, 1.0)
                 apply(param, grad, self.state[name], self.cfg, lr,
                       apply_decay=not default_decay_exempt(name))
                 self.last_effective_lrs[name] = lr

@@ -20,14 +20,15 @@ from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .data import Batch, BatchStream, Corpus, TokenizerSpec, VOCAB_SIZE, random_resized_crop
 from .encoders import MaskSpec, ModelConfig, assign_depth, interpolate_pos_embed
 from .errors import ContractError, DimensionError, DivergenceError, InputError
-from .model import ClipModel
-from .objective import LogitScale, clamp_scale, clip_loss, similarity_logits
+from .model import MAX_LOG_SCALE, ClipModel
+from .objective import clamp_scale, clip_loss, similarity_logits
 from .optim import (
     LossScalerState,
     Optimizer,
     OptimizerConfig,
     ParamGroup,
     Schedule,
+    layer_scales,
     lr_at,
     scaler_update,
 )
@@ -221,22 +222,17 @@ def init_from_checkpoint(model: ClipModel, ckpt: Checkpoint, policy: str = "perm
 
 
 def build_param_groups(model: ClipModel, cfg: TrainConfig) -> list[ParamGroup]:
-    image, text = [], []
-    depths: dict[str, int] = {}
-    for name in model.trainable():
-        if name.startswith("image."):
-            image.append(name)
-            depths[name] = assign_depth(name[len("image."):], cfg.model.image.layers)
-        elif name.startswith("text."):
-            text.append(name)
-            depths[name] = assign_depth(name[len("text."):], cfg.model.text.layers)
-    return [
-        ParamGroup("image", image, cfg.peak_lr_image, cfg.layer_decay_image,
-                   {n: depths[n] for n in image}, cfg.model.image.layers),
-        ParamGroup("text", text, cfg.peak_lr_text, cfg.layer_decay_text,
-                   {n: depths[n] for n in text}, cfg.model.text.layers),
-        ParamGroup("logit_scale", ["logit_scale"], cfg.peak_lr_text, 1.0, {"logit_scale": 1}, 0),
-    ]
+    """One group per tower, each member's LR scaled by layer-wise decay of its
+    depth, and an unscaled group for the logit scale."""
+    groups = []
+    for tower, peak_lr, decay, layers in (
+            ("image", cfg.peak_lr_image, cfg.layer_decay_image, cfg.model.image.layers),
+            ("text", cfg.peak_lr_text, cfg.layer_decay_text, cfg.model.text.layers)):
+        scales = layer_scales(decay, layers)
+        names = [n for n in model.trainable() if n.startswith(tower + ".")]
+        groups.append(ParamGroup(tower, names, peak_lr, {
+            n: float(scales[assign_depth(n[len(tower) + 1:], layers)]) for n in names}))
+    return groups + [ParamGroup("logit_scale", ["logit_scale"], cfg.peak_lr_text)]
 
 
 class Trainer:
@@ -292,11 +288,12 @@ class Trainer:
         image_tokens = 1 + (mask.kept_count(patches) if mask is not None else patches)
         img_emb = self.model.encode_image(images, mask=mask, rng=self.rng_step)
         txt_emb = self.model.encode_text(batch.token_ids)
-        scale = LogitScale(self.model.logit_scale)
-        loss = clip_loss(similarity_logits(img_emb, txt_emb, scale))
+        loss = clip_loss(similarity_logits(img_emb, txt_emb, self.model.logit_scale))
         loss_value = loss.item()
 
         T.backward(T.mul(loss, Tensor(np.float32(self.scaler.scale))))
+        # free the tape here rather than when this frame returns, so wall_time counts its teardown
+        del img_emb, txt_emb, loss
         params = self.model.trainable()
         inv = np.float32(1.0 / self.scaler.scale)  # scale is a power of two; inf stays inf
         for p in params.values():
@@ -306,22 +303,14 @@ class Trainer:
                      for g in self.groups}
         overflow = not self.opt.step(group_lrs)
         if not overflow:
-            clamp_scale(scale)
+            clamp_scale(self.model.logit_scale)
             self.opt.adopt("logit_scale")
         try:
             scaler_update(self.scaler, overflow)
         except DivergenceError as err:
             err.records = self.records[-10:]
             raise
-        record = StepRecord(
-            step=self.schedule_step,
-            loss=loss_value,
-            lrs=group_lrs,
-            logit_scale=scale.value,
-            overflow=overflow,
-            tokens=len(images) * image_tokens + int((~batch.pad_mask).sum()),
-            wall_time=time.perf_counter() - t0,
-        )
+        step = self.schedule_step
         if not overflow:
             self.samples_seen += batch.images.shape[0]
             self.schedule_step += 1
@@ -330,9 +319,19 @@ class Trainer:
             err.records = self.records[-10:]
             raise err
         T.zero_grads(params.values())
+        self.attempted += 1
+        wall_time = time.perf_counter() - t0
+        record = StepRecord(
+            step=step,
+            loss=loss_value,
+            lrs=group_lrs,
+            logit_scale=float(np.exp(min(self.model.logit_scale.item(), MAX_LOG_SCALE))),
+            overflow=overflow,
+            tokens=len(images) * image_tokens + int((~batch.pad_mask).sum()),
+            wall_time=wall_time,
+        )
         self.records.append(record)
         self._log(record)
-        self.attempted += 1
         return record
 
     # -- full runs ------------------------------------------------------------

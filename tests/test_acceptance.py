@@ -27,7 +27,7 @@ from deskclip.evaluation import (
     zero_shot_classify,
 )
 from deskclip.model import ClipModel, LOG_SCALE_INIT, preset
-from deskclip.objective import LogitScale, clip_loss, similarity_logits
+from deskclip.objective import clip_loss, similarity_logits
 from deskclip.optim import MomentState, OptimizerConfig, adamw_step, lamb_step, layer_scales, lr_at
 from deskclip.tensor import Tensor
 from deskclip.trainer import TrainConfig, Trainer, bench
@@ -64,9 +64,8 @@ def four_pair_loss_probe(seed):
     def f(x):
         img = T.l2_normalize_rows(T.matmul(Tensor(select_img, dtype=x.dtype), x))
         txt = T.l2_normalize_rows(T.matmul(Tensor(select_txt, dtype=x.dtype), x))
-        scale = LogitScale(Tensor(np.array([1.5], dtype=np.float32), dtype=x.dtype))
-        return clip_loss(similarity_logits(
-            EmbeddingOutput(img, True), EmbeddingOutput(txt, True), scale))
+        scale = Tensor(np.array([1.5], dtype=np.float32), dtype=x.dtype)
+        return clip_loss(similarity_logits(EmbeddingOutput(img), EmbeddingOutput(txt), scale))
 
     x = Tensor(np.random.default_rng(seed).standard_normal((2 * b, d)).astype(np.float32),
                requires_grad=True)
@@ -161,9 +160,9 @@ def test_criterion_4_loss_sanity_and_overfit(overfit_corpus):
         x = rng.standard_normal((n, d))
         return (x / np.linalg.norm(x, axis=-1, keepdims=True)).astype(np.float32)
 
-    scale = LogitScale(Tensor(np.array([LOG_SCALE_INIT], dtype=np.float32)))
+    scale = Tensor(np.array([LOG_SCALE_INIT], dtype=np.float32))
     loss0 = clip_loss(similarity_logits(
-        EmbeddingOutput(Tensor(unit(b)), True), EmbeddingOutput(Tensor(unit(b)), True), scale)).item()
+        EmbeddingOutput(Tensor(unit(b))), EmbeddingOutput(Tensor(unit(b))), scale)).item()
     assert abs(loss0 - math.log(b)) < 0.2
 
     cfg = TrainConfig(model=preset("tiny"), optimizer=OptimizerConfig("lamb"),

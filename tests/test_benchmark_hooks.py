@@ -7,8 +7,14 @@ of them breaks the benchmark; these tests catch that in the main suite.
 """
 
 import json
+import math
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from deskclip.data import CorpusSpec, generate_corpus, load_corpus
+from deskclip.model import ClipModel, preset
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -28,3 +34,17 @@ def test_every_layer_target_is_an_attribute_of_its_owner():
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
                for owner, attr, *_ in tracing.layer_targets() if attr not in vars(owner)]
     assert missing == []
+
+
+def test_harness_reads_unit_embeddings_and_the_logit_scale(tmp_path):
+    # heldout_embeddings reads encode_*(...).vector.data; contrastive_loss reads
+    # model.logit_scale.item()
+    spec = CorpusSpec(3, 4, 32, ("a photo of a {}",), seed=0)
+    corpus = load_corpus(generate_corpus(spec, tmp_path / "corpus"))
+    model = ClipModel.init(preset("tiny"), 0)
+    img, txt = harness.heldout_embeddings(model, corpus)
+    assert img.shape == txt.shape == (len(corpus.heldout), model.cfg.embed_dim)
+    for rows in (img, txt):
+        assert np.isfinite(rows).all()
+        np.testing.assert_allclose(np.linalg.norm(rows, axis=1), 1.0, atol=1e-6)
+    assert math.isfinite(harness.contrastive_loss(model, img, txt))

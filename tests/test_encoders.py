@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -92,7 +93,6 @@ class TestEncodeImage:
         rng = np.random.default_rng(0)
         out = m.encode_image(rng.standard_normal((3, 3, 32, 32)).astype(np.float32))
         np.testing.assert_allclose(np.linalg.norm(out.vector.data, axis=-1), 1.0, atol=1e-5)
-        assert out.normalized
 
     def test_identical_images_identical_embeddings(self):
         m = tiny_model()
@@ -173,6 +173,11 @@ class TestEncodeText:
         ids[1, 9] = 0  # stamp out the EOS in row 1
         with pytest.raises(InputError, match="row 1"):
             m.encode_text(ids)
+
+    @pytest.mark.parametrize("shape", [(0, 32), (3, 0)])
+    def test_ids_without_tokens_rejected_naming_shape(self, shape):
+        with pytest.raises(InputError, match=re.escape(str(shape))):
+            tiny_model().encode_text(np.zeros(shape, dtype=np.int64))
 
 
 class TestInterpolatePosEmbed:

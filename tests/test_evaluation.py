@@ -3,16 +3,17 @@ import pytest
 
 from deskclip.errors import DimensionError, InputError
 from deskclip.evaluation import (
-    ClassEmbedding,
     build_class_embeddings,
     center_frame,
     load_robustness_fixtures,
+    make_text_encoder,
     mean_top1_top5,
     recall_at_k,
     retrieval_report,
     robustness_gap,
     zero_shot_classify,
 )
+from deskclip.model import ClipModel, preset
 
 
 def fake_text_encoder(table):
@@ -29,22 +30,43 @@ class TestBuildClassEmbeddings:
         v = np.array([3.0, 4.0])
         enc = fake_text_encoder({"a photo of a cat": v})
         out = build_class_embeddings(["cat"], ["a photo of a {}"], enc)
-        np.testing.assert_allclose(out[0].vector, v / 5.0)
+        np.testing.assert_allclose(out[0], v / 5.0)
 
     def test_duplicate_template_is_idempotent(self):
         v = np.array([1.0, 2.0, 2.0])
         enc = fake_text_encoder({"a photo of a dog": v})
-        once = build_class_embeddings(["dog"], ["a photo of a {}"], enc)[0].vector
-        twice = build_class_embeddings(["dog"], ["a photo of a {}", "a photo of a {}"], enc)[0].vector
+        once = build_class_embeddings(["dog"], ["a photo of a {}"], enc)[0]
+        twice = build_class_embeddings(["dog"], ["a photo of a {}", "a photo of a {}"], enc)[0]
         np.testing.assert_allclose(once, twice, atol=1e-12)
 
     def test_orthogonal_templates_average_at_45_degrees(self):
         e1 = np.array([1.0, 0.0])
         e2 = np.array([0.0, 1.0])
         enc = fake_text_encoder({"x bird": e1, "y bird": e2})
-        out = build_class_embeddings(["bird"], ["x {}", "y {}"], enc)[0].vector
+        out = build_class_embeddings(["bird"], ["x {}", "y {}"], enc)[0]
         np.testing.assert_allclose(out, np.array([1.0, 1.0]) / np.sqrt(2.0), atol=1e-12)
         assert np.linalg.norm(out) == pytest.approx(1.0)
+
+    def test_every_prompt_encoded_in_one_call(self):
+        calls = []
+        rng = np.random.default_rng(0)
+
+        def counting_encoder(captions):
+            calls.append(list(captions))
+            return rng.standard_normal((len(captions), 4))
+
+        table = build_class_embeddings(["cat", "dog", "owl"], ["x {}", "y {}"], counting_encoder)
+        assert calls == [["x cat", "y cat", "x dog", "y dog", "x owl", "y owl"]]
+        assert table.shape == (3, 4)
+
+    def test_batched_table_matches_tables_built_per_class(self):
+        # each per-class batch is cut at its own last EOS, the joint batch at the longest
+        encode = make_text_encoder(ClipModel.init(preset("tiny"), 0))
+        names = ["ox", "cat", "hippopotamus", "a rather long class name"]
+        templates = ["{}", "a photo of a {}", "an image of one {} pattern"]
+        per_class = np.concatenate([build_class_embeddings([n], templates, encode) for n in names])
+        np.testing.assert_allclose(build_class_embeddings(names, templates, encode), per_class,
+                                   rtol=0, atol=1e-6)
 
     def test_empty_class_list_rejected(self):
         with pytest.raises(InputError):
@@ -57,7 +79,7 @@ class TestBuildClassEmbeddings:
 
 class TestZeroShotClassify:
     def one_hot_classes(self, c, d):
-        return [ClassEmbedding(str(i), ("{}",), np.eye(c, d)[i]) for i in range(c)]
+        return np.eye(c, d)
 
     def test_one_hot_perfect_accuracy(self):
         classes = self.one_hot_classes(4, 6)

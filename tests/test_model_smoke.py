@@ -4,7 +4,7 @@ import numpy as np
 
 from deskclip import tensor as T
 from deskclip.model import ClipModel, preset
-from deskclip.objective import LogitScale, clip_loss, similarity_logits
+from deskclip.objective import clip_loss, similarity_logits
 
 
 def test_base_config_gradients_all_finite():
@@ -22,7 +22,7 @@ def test_base_config_gradients_all_finite():
 
     img = model.encode_image(images)
     txt = model.encode_text(ids)
-    loss = clip_loss(similarity_logits(img, txt, LogitScale(model.logit_scale)))
+    loss = clip_loss(similarity_logits(img, txt, model.logit_scale))
     assert np.isfinite(loss.item())
     T.backward(loss)
     for name, p in model.trainable().items():

@@ -7,7 +7,7 @@ from deskclip import tensor as T
 from deskclip.encoders import EmbeddingOutput
 from deskclip.errors import ContractError, DimensionError
 from deskclip.model import LOG_SCALE_INIT, MAX_LOG_SCALE
-from deskclip.objective import LogitScale, clamp_scale, clip_loss, similarity_logits
+from deskclip.objective import clamp_scale, clip_loss, similarity_logits
 from deskclip.tensor import Tensor
 
 
@@ -17,11 +17,11 @@ def unit_rows(rng, b, d):
 
 
 def emb(arr):
-    return EmbeddingOutput(Tensor(arr), normalized=True)
+    return EmbeddingOutput(Tensor(arr))
 
 
 def scale_of(value_log=LOG_SCALE_INIT, requires_grad=False):
-    return LogitScale(Tensor(np.array([value_log], dtype=np.float32), requires_grad=requires_grad))
+    return Tensor(np.array([value_log], dtype=np.float32), requires_grad=requires_grad)
 
 
 class TestSimilarityLogits:
@@ -47,7 +47,7 @@ class TestSimilarityLogits:
         assert np.abs(logits).max() <= math.exp(LOG_SCALE_INIT) + 1e-5
 
     def test_unnormalized_input_rejected(self):
-        bad = EmbeddingOutput(Tensor(np.full((2, 4), 2.0, dtype=np.float32)), normalized=True)
+        bad = EmbeddingOutput(Tensor(np.full((2, 4), 2.0, dtype=np.float32)))
         rng = np.random.default_rng(2)
         with pytest.raises(ContractError):
             similarity_logits(bad, emb(unit_rows(rng, 2, 4)), scale_of())
@@ -111,9 +111,9 @@ class TestClipLoss:
         def f(x):
             img = T.l2_normalize_rows(T.matmul(Tensor(select_img, dtype=x.dtype), x))
             txt = T.l2_normalize_rows(T.matmul(Tensor(select_txt, dtype=x.dtype), x))
-            scale = LogitScale(Tensor(log_scale, dtype=x.dtype))
+            scale = Tensor(log_scale, dtype=x.dtype)
             logits = similarity_logits(
-                EmbeddingOutput(img, True), EmbeddingOutput(txt, True), scale
+                EmbeddingOutput(img), EmbeddingOutput(txt), scale
             )
             return clip_loss(logits)
 
@@ -125,12 +125,12 @@ class TestClampScale:
     def test_clamps_above_max(self):
         s = scale_of(5.0)
         clamp_scale(s)
-        assert s.log_scale.item() == pytest.approx(MAX_LOG_SCALE, abs=1e-6)  # ln 100 = 4.60517
+        assert s.item() == pytest.approx(MAX_LOG_SCALE, abs=1e-6)  # ln 100 = 4.60517
 
     def test_below_max_unchanged(self):
         s = scale_of(2.0)
         clamp_scale(s)
-        assert s.log_scale.item() == pytest.approx(2.0)
+        assert s.item() == pytest.approx(2.0)
 
     def test_log_scale_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(9)
@@ -138,11 +138,10 @@ class TestClampScale:
         txt = unit_rows(rng, 4, 8)
 
         def f(ls):
-            scale = LogitScale(ls)
             logits = similarity_logits(
-                EmbeddingOutput(Tensor(img, dtype=ls.dtype), True),
-                EmbeddingOutput(Tensor(txt, dtype=ls.dtype), True),
-                scale,
+                EmbeddingOutput(Tensor(img, dtype=ls.dtype)),
+                EmbeddingOutput(Tensor(txt, dtype=ls.dtype)),
+                ls,
             )
             return clip_loss(logits)
 

@@ -194,7 +194,7 @@ class TestOptimizerInvariants:
         bias = Tensor(np.array([0.3, -0.7], dtype=np.float32), requires_grad=True)
         opt = Optimizer(
             {"norm1.bias": bias},
-            [ParamGroup("g", ["norm1.bias"], peak_lr=1.0, depths={"norm1.bias": 0})],
+            [ParamGroup("g", ["norm1.bias"], peak_lr=1.0)],
             cfg,
         )
         before = bias.data.copy()
@@ -236,7 +236,7 @@ class TestOptimizerInvariants:
         p = Tensor(rng.standard_normal(10).astype(np.float32), requires_grad=True)
         opt = Optimizer(
             {"w": p},
-            [ParamGroup("all", ["w"], peak_lr=0.05, depths={"w": 1})],
+            [ParamGroup("all", ["w"], peak_lr=0.05)],
             OptimizerConfig(kind, beta1=0.9, beta2=0.98, eps=1e-6, weight_decay=0.0),
         )
         sched = Schedule(warmup_steps=100, total_steps=4000, shape="cosine")

@@ -12,7 +12,7 @@ from deskclip import tensor as T
 from deskclip import trainer as trainer_module
 from deskclip.checkpoint import load_checkpoint
 from deskclip.data import CorpusSpec, generate_corpus, load_corpus
-from deskclip.encoders import ImageEncoderConfig, ModelConfig, TextEncoderConfig
+from deskclip.encoders import ImageEncoderConfig, ModelConfig, TextEncoderConfig, assign_depth
 from deskclip.errors import DimensionError, InputError
 from deskclip.model import ClipModel, MAX_LOG_SCALE, preset
 from deskclip.optim import OptimizerConfig, layer_scales, lr_at
@@ -306,9 +306,14 @@ class TestParamGroups:
         names = sorted(n for g in groups for n in g.member_names)
         assert names == sorted(model.params)
         image = next(g for g in groups if g.name == "image")
-        assert image.depths["image.pos_embed"] == 0
-        assert image.depths["image.blocks.1.mlp.fc.weight"] == 2
-        assert image.depths["image.final_norm.gain"] == cfg.model.image.layers + 1
+        layers = cfg.model.image.layers
+        scales = layer_scales(cfg.layer_decay_image, layers)
+        for name, depth in (("image.pos_embed", 0), ("image.blocks.1.mlp.fc.weight", 2),
+                            ("image.final_norm.gain", layers + 1)):
+            assert assign_depth(name[len("image."):], layers) == depth
+            assert image.lr_scales[name] == scales[depth]
+        scale_group = next(g for g in groups if g.name == "logit_scale")
+        assert scale_group.lr_scales.get("logit_scale", 1.0) == 1.0
 
 
 class TestBench:
