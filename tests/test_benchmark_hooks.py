@@ -3,7 +3,9 @@
 ``perfbench/harness.py`` imports every deskclip name the benchmark uses, and
 tracing rebinds each ``(owner, attribute)`` of ``tracing.layer_targets()``,
 which must be the owner's own attribute. A change that renames or deletes one
-of them breaks the benchmark; these tests catch that in the main suite.
+of them breaks the benchmark; these tests catch that in the main suite. The
+harness's embedding and loss readers also run on a tiny model, because they
+depend on what deskclip's encoders and model return.
 """
 
 import json
