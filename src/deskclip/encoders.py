@@ -172,19 +172,15 @@ def init_tower_params(
     for name, shape in shapes.items():
         if name.endswith(("norm1.gain", "norm2.gain", "final_norm.gain")):
             data = np.ones(shape, dtype=np.float32)
-        elif name.endswith(".bias") or name == "cls_token":
+        elif name.endswith(".bias"):
             data = np.zeros(shape, dtype=np.float32)
-            if name == "cls_token":
-                data = (rng.standard_normal(shape) * 0.02).astype(np.float32)
-        elif name in ("pos_embed", "token_embed.weight", "patch_embed.weight"):
+        elif name in ("cls_token", "pos_embed", "token_embed.weight", "patch_embed.weight"):
             data = (rng.standard_normal(shape) * 0.02).astype(np.float32)
         elif ".attn.proj." in name or ".mlp.proj." in name:
             data = (rng.standard_normal(shape) * proj_std).astype(np.float32)
         elif ".mlp.fc." in name:
             data = (rng.standard_normal(shape) * fc_std).astype(np.float32)
-        elif name == "proj":
-            data = (rng.standard_normal(shape) * attn_std).astype(np.float32)
-        else:  # q/k/v weights
+        else:  # q/k/v weights and the output projection
             data = (rng.standard_normal(shape) * attn_std).astype(np.float32)
         params[name] = Tensor(data, requires_grad=True)
     return params
@@ -251,9 +247,7 @@ def interpolate_pos_embed(pos: Tensor, new_grid: int) -> Tensor:
 
 
 def _linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    lead = x.shape[:-1]
-    out = T.add(T.matmul(T.reshape(x, (-1, x.shape[-1])), weight), bias)
-    return T.reshape(out, lead + (weight.shape[-1],))
+    return T.add(T.matmul(x, weight), bias)
 
 
 def _attention(
@@ -269,16 +263,17 @@ def _attention(
     b, n, width = h.shape
     hd = width // heads
 
-    def split_heads(t):
-        return T.transpose(T.reshape(t, (b, t.shape[1], heads, hd)), (0, 2, 1, 3))
+    def split_heads(t, axes=(0, 2, 1, 3)):
+        return T.transpose(T.reshape(t, (b, t.shape[1], heads, hd)), axes)
 
     hq = h if rows is None else T.take_tokens(h, rows)
     m = hq.shape[1]
     q = split_heads(_linear(hq, params[f"{prefix}.q.weight"], params[f"{prefix}.q.bias"]))
-    k = split_heads(_linear(h, params[f"{prefix}.k.weight"], params[f"{prefix}.k.bias"]))
+    # keys go straight to [b, heads, hd, n], ready to multiply
+    kt = split_heads(_linear(h, params[f"{prefix}.k.weight"], params[f"{prefix}.k.bias"]), (0, 2, 3, 1))
     v = split_heads(_linear(h, params[f"{prefix}.v.weight"], params[f"{prefix}.v.bias"]))
 
-    scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(hd))
+    scores = T.matmul(q, kt) * (1.0 / math.sqrt(hd))
     if causal:
         q_pos = np.arange(n)[None] if rows is None else rows  # [1, n] or [b, k]
         after = np.arange(n) > q_pos[:, :, None]
@@ -289,12 +284,11 @@ def _attention(
     return _linear(out, params[f"{prefix}.proj.weight"], params[f"{prefix}.proj.bias"])
 
 
-def drop_path(branch: Tensor, rate: float, rng: np.random.Generator | None, training: bool) -> Tensor:
-    """Per-sample residual-branch dropping; identity at rate 0 or in eval."""
-    if rate == 0.0 or not training:
+def drop_path(branch: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
+    """Per-sample residual-branch dropping; identity at rate 0 or without a
+    generator (only training forwards pass one)."""
+    if rate == 0.0 or rng is None:
         return branch
-    if rng is None:
-        raise ContractError("drop_path with rate > 0 needs a generator in training mode")
     b = branch.shape[0]
     keep = (rng.random(b) >= rate).astype(np.float32) / (1.0 - rate)
     shape = (b,) + (1,) * (branch.ndim - 1)
@@ -313,15 +307,14 @@ def _block(
 ) -> Tensor:
     """One pre-norm block; with ``rows`` [b, k] it returns only those rows [b, k, width]."""
     p = f"blocks.{i}"
-    training = rng is not None  # only training forwards pass their generator
     h = T.layer_norm(x, params[f"{p}.norm1.gain"], params[f"{p}.norm1.bias"])
     if rows is not None:
         x = T.take_tokens(x, rows)
-    x = T.add(x, drop_path(_attention(h, params, f"{p}.attn", heads, causal, rows), dp_rate, rng, training))
+    x = T.add(x, drop_path(_attention(h, params, f"{p}.attn", heads, causal, rows), dp_rate, rng))
     h = T.layer_norm(x, params[f"{p}.norm2.gain"], params[f"{p}.norm2.bias"])
     h = _linear(T.gelu(_linear(h, params[f"{p}.mlp.fc.weight"], params[f"{p}.mlp.fc.bias"])),
                 params[f"{p}.mlp.proj.weight"], params[f"{p}.mlp.proj.bias"])
-    return T.add(x, drop_path(h, dp_rate, rng, training))
+    return T.add(x, drop_path(h, dp_rate, rng))
 
 
 def _blocks_pooled(

@@ -107,7 +107,9 @@ class MomentState:
         return cls(m=np.zeros_like(w), v=np.zeros_like(w), master=w.copy())
 
 
-def _core_update(grad64: np.ndarray, state: MomentState, cfg: OptimizerConfig) -> np.ndarray:
+def _update(kind: str, param: Tensor, grad64: np.ndarray, state: MomentState, cfg: OptimizerConfig,
+            lr: float, apply_decay: bool, force_trust_ratio: float | None = None) -> None:
+    """One LAMB or AdamW update of ``param`` from a finite float64 gradient."""
     # in place, with the operands and rounding order of the scalar recurrences
     state.t += 1
     state.m *= cfg.beta1
@@ -121,7 +123,21 @@ def _core_update(grad64: np.ndarray, state: MomentState, cfg: OptimizerConfig) -
     np.sqrt(v_hat, out=v_hat)
     v_hat += cfg.eps
     update /= v_hat
-    return update
+    if kind == "lamb":
+        if apply_decay and cfg.weight_decay:
+            update += cfg.weight_decay * state.master
+        if force_trust_ratio is not None:
+            phi = force_trust_ratio
+        else:
+            w_norm = float(np.linalg.norm(state.master))
+            u_norm = float(np.linalg.norm(update))
+            phi = w_norm / u_norm if w_norm > 0.0 and u_norm > 0.0 else 1.0
+        update *= lr * phi
+        state.master -= update
+    else:
+        decay = cfg.weight_decay if apply_decay else 0.0
+        state.master = state.master - lr * update - lr * decay * state.master
+    param.data = state.master.astype(param.data.dtype)
 
 
 def lamb_step(param: Tensor, grad: np.ndarray, state: MomentState, cfg: OptimizerConfig,
@@ -130,18 +146,7 @@ def lamb_step(param: Tensor, grad: np.ndarray, state: MomentState, cfg: Optimize
     grad64 = np.asarray(grad, dtype=np.float64)
     if not np.isfinite(grad64).all():
         return False
-    update = _core_update(grad64, state, cfg)
-    if apply_decay and cfg.weight_decay:
-        update += cfg.weight_decay * state.master
-    if force_trust_ratio is not None:
-        phi = force_trust_ratio
-    else:
-        w_norm = float(np.linalg.norm(state.master))
-        u_norm = float(np.linalg.norm(update))
-        phi = w_norm / u_norm if w_norm > 0.0 and u_norm > 0.0 else 1.0
-    update *= lr * phi
-    state.master -= update
-    param.data = state.master.astype(param.data.dtype)
+    _update("lamb", param, grad64, state, cfg, lr, apply_decay, force_trust_ratio)
     return True
 
 
@@ -151,10 +156,7 @@ def adamw_step(param: Tensor, grad: np.ndarray, state: MomentState, cfg: Optimiz
     grad64 = np.asarray(grad, dtype=np.float64)
     if not np.isfinite(grad64).all():
         return False
-    update = _core_update(grad64, state, cfg)
-    decay = cfg.weight_decay if apply_decay else 0.0
-    state.master = state.master - lr * update - lr * decay * state.master
-    param.data = state.master.astype(param.data.dtype)
+    _update("adamw", param, grad64, state, cfg, lr, apply_decay)
     return True
 
 
@@ -179,15 +181,15 @@ class Optimizer:
         for p in self.params.values():
             if p.grad is not None and not np.isfinite(p.grad).all():
                 return False
-        apply = lamb_step if self.cfg.kind == "lamb" else adamw_step
         self.last_effective_lrs = {}
         for group in self.groups:
             for name in group.member_names:
                 param = self.params[name]
-                grad = param.grad if param.grad is not None else np.zeros_like(param.data)
+                grad64 = (param.grad.astype(np.float64) if param.grad is not None
+                          else np.zeros(param.shape))
                 lr = group_lrs[group.name] * group.lr_scales.get(name, 1.0)
-                apply(param, grad, self.state[name], self.cfg, lr,
-                      apply_decay=not default_decay_exempt(name))
+                _update(self.cfg.kind, param, grad64, self.state[name], self.cfg, lr,
+                        apply_decay=not default_decay_exempt(name))
                 self.last_effective_lrs[name] = lr
         return True
 

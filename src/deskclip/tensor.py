@@ -129,8 +129,8 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward: Callable | No
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum ``grad`` down to ``shape`` undoing numpy broadcasting."""
     extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
+    if extra > 0:  # the leading axes sum as one flattened axis, as a 2-D product's rows would
+        grad = grad.reshape((-1,) + grad.shape[extra:]).sum(axis=0)
     axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
@@ -352,19 +352,24 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product in the inputs' storage dtype; batched when ndim > 2.
 
     float32 inputs run as sgemm and float64 inputs as dgemm; a mixed pair
-    computes in float64. Leading (batch) extents must match exactly;
-    broadcasting batch dims is not supported.
+    computes in float64. A 2-D ``b`` is shared across every leading axis of
+    ``a``, which runs as one 2-D product over ``a``'s flattened rows.
+    Otherwise leading (batch) extents must match exactly; broadcasting batch
+    dims is not supported.
     """
     if a.ndim < 2 or b.ndim < 2:
         raise DimensionError(f"matmul needs matrices, got {a.shape} x {b.shape}")
-    if a.shape[-1] != b.shape[-2] or a.shape[:-2] != b.shape[:-2]:
+    shared = b.ndim == 2
+    if a.shape[-1] != b.shape[-2] or (not shared and a.shape[:-2] != b.shape[:-2]):
         raise DimensionError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    data = np.matmul(a.data, b.data)
+    a2 = a.data.reshape(-1, a.shape[-1]) if shared else a.data
+    data = np.matmul(a2, b.data).reshape(a.shape[:-1] + b.shape[-1:])
 
     def backward(g):
         g = g.astype(data.dtype, copy=False)
-        ga = np.matmul(g, _swap_last(b.data)) if a.requires_grad else None
-        gb = np.matmul(_swap_last(a.data), g) if b.requires_grad else None
+        g2 = g.reshape(-1, g.shape[-1]) if shared else g
+        ga = np.matmul(g2, _swap_last(b.data)).reshape(a.shape) if a.requires_grad else None
+        gb = np.matmul(_swap_last(a2), g2) if b.requires_grad else None
         return ga, gb
 
     return _make(data, (a, b), backward)

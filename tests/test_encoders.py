@@ -180,6 +180,21 @@ class TestEncodeText:
             tiny_model().encode_text(np.zeros(shape, dtype=np.int64))
 
 
+class TestTapeLength:
+    def test_embeddings_record_at_most_150_nodes(self):
+        m = tiny_model()
+        imgs = np.random.default_rng(15).standard_normal((2, 3, 32, 32)).astype(np.float32)
+        roots = [m.encode_image(imgs).vector, m.encode_text(make_ids([5, 9], 32)).vector]
+        recorded, stack = set(), roots
+        while stack:
+            node = stack.pop()
+            if node._backward is not None and id(node) not in recorded:
+                recorded.add(id(node))
+                stack.extend(node._parents)
+        # a linear layer is one matmul and one bias add; keys split once to [b, heads, hd, n]
+        assert len(recorded) <= 150
+
+
 class TestInterpolatePosEmbed:
     def test_identity_when_grids_match(self):
         pos = Tensor(np.random.default_rng(0).standard_normal((1 + 9, 4)).astype(np.float32))
@@ -251,21 +266,21 @@ class TestDropPath:
         x = Tensor(np.random.default_rng(0).standard_normal((4, 3, 2)).astype(np.float32))
         from deskclip.encoders import drop_path
 
-        out = drop_path(x, 0.0, np.random.default_rng(1), training=True)
+        out = drop_path(x, 0.0, np.random.default_rng(1))
         assert out is x
 
     def test_eval_mode_is_identity_at_any_rate(self):
         from deskclip.encoders import drop_path
 
         x = Tensor(np.ones((4, 3), dtype=np.float32))
-        out = drop_path(x, 0.9, None, training=False)
+        out = drop_path(x, 0.9, None)
         assert out is x
 
     def test_training_scales_survivors_per_sample(self):
         from deskclip.encoders import drop_path
 
         x = Tensor(np.ones((64, 2, 2), dtype=np.float32))
-        out = drop_path(x, 0.5, np.random.default_rng(3), training=True).data
+        out = drop_path(x, 0.5, np.random.default_rng(3)).data
         per_sample = out.reshape(64, -1)
         dropped = np.all(per_sample == 0.0, axis=1)
         kept = np.all(per_sample == 2.0, axis=1)  # survivors scaled by 1/(1-rate)

@@ -64,6 +64,8 @@ class TestMatmul:
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 2\)"):
             T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))))
+        with pytest.raises(DimensionError, match=r"\(2, 3, 4\).*\(3, 4, 2\)"):
+            T.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 2))))
 
 
 class TestLayerNorm:
@@ -272,6 +274,8 @@ OP_CASES = [
     ("gelu", (2, 4), lambda x, c: T.gelu(x)),
     ("matmul", (2, 4), lambda x, c: T.matmul(x, _const(c((4, 3)), x))),
     ("matmul_batched", (2, 3, 5, 4), lambda x, c: T.matmul(x, _const(c((2, 3, 4, 2)), x))),
+    ("matmul_shared_weight", (2, 3, 4), lambda x, c: T.matmul(x, _const(c((4, 5)), x))),
+    ("matmul_shared_weight_grad", (4, 5), lambda x, c: T.matmul(_const(c((2, 3, 4)), x), x)),
     ("reshape", (2, 6), lambda x, c: T.reshape(x, (3, 4))),
     ("transpose", (2, 3, 2), lambda x, c: T.transpose(x, (1, 0, 2))),
     ("concat", (2, 4), lambda x, c: T.concat([x, _const(c((2, 3)), x)], axis=1)),
