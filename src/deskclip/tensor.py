@@ -11,8 +11,10 @@ finite-difference oracle uses this mode. An op whose inputs mix the two
 dtypes computes in float64.
 
 The graph is a tape of closures: each op attaches the producing inputs and a
-backward rule to its output. ``backward`` walks the reachable subgraph once in
-reverse topological order and accumulates gradients additively on the leaves
+backward rule to its output. Every tensor carries a creation number, and an
+op's output is always newer than its inputs. ``backward`` walks the reachable
+subgraph once, newest node first, so a node is visited after every consumer
+has passed it its gradient. It accumulates gradients additively on the leaves
 (tensors that require gradients but were not produced by an op); intermediate
 tensors keep ``grad`` as ``None``.
 """
@@ -20,6 +22,8 @@ tensors keep ``grad`` as ``None``.
 from __future__ import annotations
 
 import contextlib
+import heapq
+import itertools
 import math
 from typing import Callable, Sequence
 
@@ -31,6 +35,7 @@ from .errors import ContractError, DimensionError
 _FLOAT_DTYPES = (np.float32, np.float64)
 
 _grad_enabled = True
+_creation = itertools.count()  # creation numbers; backward visits the newest pending node first
 
 
 @contextlib.contextmanager
@@ -52,7 +57,7 @@ class Tensor:
     parameter updates performed by an optimizer between steps.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_seq")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype if dtype is not None else np.float32)
@@ -63,6 +68,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable | None = None
+        self._seq = next(_creation)
 
     # -- introspection ----------------------------------------------------
 
@@ -115,6 +121,7 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward: Callable | No
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
+    out._seq = next(_creation)
     if _grad_enabled and backward is not None and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
@@ -480,25 +487,6 @@ def l2_normalize_rows(x: Tensor) -> Tensor:
 # -- backward pass -------------------------------------------------------------
 
 
-def _topo_order(root: Tensor) -> list[Tensor]:
-    order: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for parent in node._parents:
-            if parent.requires_grad and id(parent) not in seen:
-                stack.append((parent, False))
-    return order
-
-
 def backward(root: Tensor) -> None:
     """Accumulate d(root)/d(leaf) on every reachable leaf that requires grad.
 
@@ -510,21 +498,25 @@ def backward(root: Tensor) -> None:
         raise ContractError(f"backward root must be scalar, got shape {root.shape}")
     if not root.requires_grad:
         raise ContractError("backward root is not connected to the graph")
-    order = _topo_order(root)
-    pending: dict[int, np.ndarray] = {id(root): np.ones_like(root.data)}
-    for node in reversed(order):
-        g = pending.pop(id(node), None)
-        if g is None:
-            continue
+    # every consumer of a node is newer than it, so popping the newest pending
+    # node finds its gradient complete
+    pending: dict[int, np.ndarray] = {root._seq: np.ones_like(root.data)}
+    heap: list[tuple[int, Tensor]] = [(-root._seq, root)]
+    while heap:
+        _, node = heapq.heappop(heap)
+        g = pending.pop(node._seq)
         if node._backward is None:
             node.grad = g.copy() if node.grad is None else node.grad + g
             continue
-        parent_grads = node._backward(g)
-        for parent, pg in zip(node._parents, parent_grads):
+        for parent, pg in zip(node._parents, node._backward(g)):
             if pg is None or not parent.requires_grad:
                 continue
-            prev = pending.get(id(parent))
-            pending[id(parent)] = pg if prev is None else prev + pg
+            prev = pending.get(parent._seq)
+            if prev is None:
+                pending[parent._seq] = pg
+                heapq.heappush(heap, (-parent._seq, parent))
+            else:
+                pending[parent._seq] = prev + pg
 
 
 def zero_grads(tensors) -> None:
