@@ -351,10 +351,6 @@ def take_tokens(x: Tensor, idx: np.ndarray) -> Tensor:
 # -- matmul ------------------------------------------------------------------
 
 
-def _swap_last(arr: np.ndarray) -> np.ndarray:
-    return np.swapaxes(arr, -1, -2)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product in the inputs' storage dtype; batched when ndim > 2.
 
@@ -375,8 +371,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         g = g.astype(data.dtype, copy=False)
         g2 = g.reshape(-1, g.shape[-1]) if shared else g
-        ga = np.matmul(g2, _swap_last(b.data)).reshape(a.shape) if a.requires_grad else None
-        gb = np.matmul(_swap_last(a2), g2) if b.requires_grad else None
+        ga = np.matmul(g2, np.swapaxes(b.data, -1, -2)).reshape(a.shape) if a.requires_grad else None
+        gb = np.matmul(np.swapaxes(a2, -1, -2), g2) if b.requires_grad else None
         return ga, gb
 
     return _make(data, (a, b), backward)
@@ -513,10 +509,8 @@ def backward(root: Tensor) -> None:
                 continue
             prev = pending.get(parent._seq)
             if prev is None:
-                pending[parent._seq] = pg
                 heapq.heappush(heap, (-parent._seq, parent))
-            else:
-                pending[parent._seq] = prev + pg
+            pending[parent._seq] = pg if prev is None else prev + pg
 
 
 def zero_grads(tensors) -> None:

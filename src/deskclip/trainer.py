@@ -336,17 +336,14 @@ class Trainer:
 
     # -- full runs ------------------------------------------------------------
 
-    def train(self, max_seconds: float | None = None) -> Path | None:
-        """Step to total_steps, or until this call's step wall_times sum to max_seconds."""
+    def train(self) -> Path | None:
+        """Step to total_steps, checkpointing every interval, then save final.bin."""
         cfg = self.cfg
         interval = cfg.checkpoint_interval or max(1, cfg.total_steps // 10)
-        spent = 0.0
         while self.schedule_step < cfg.total_steps:
-            if max_seconds is not None and spent >= max_seconds:
-                break
             batch = self.stream.batch_at(self.attempted, cfg.batch_size)
             before = self.schedule_step
-            spent += self.train_step(batch).wall_time
+            self.train_step(batch)
             if (self.run_dir is not None and self.schedule_step != before
                     and self.schedule_step % interval == 0
                     and self.schedule_step < cfg.total_steps):
@@ -462,24 +459,31 @@ def run_ablation(cfg: TrainConfig, corpus: Corpus, run_dir: Path) -> dict:
     standing in for a separately pretrained model).
 
     Arms: from-scratch AdamW, initialized AdamW, initialized LAMB, and
-    initialized LAMB with masking run for the summed step wall_time the
-    unmasked LAMB arm took (so its step count shows the masking speedup).
-    Each arm trains in its own subdirectory of ``run_dir``.
+    initialized LAMB with masking. The two LAMB arms step alternately: after
+    each unmasked step, the masked arm steps until its summed step wall_time
+    catches up, so its step count shows the masking speedup and drift in host
+    speed hits both arms alike. Each arm trains in its own subdirectory of
+    ``run_dir``.
     """
 
-    def run_arm(name, arm_cfg, budget=None):
-        trainer = Trainer(arm_cfg, corpus, run_dir=run_dir / name)
-        final = trainer.train(max_seconds=budget)
+    def arm_row(trainer, final):
         return {
-            "name": name,
-            "optimizer": arm_cfg.optimizer.kind,
-            "init": arm_cfg.init_policy,
-            "mask_ratio": arm_cfg.mask_ratio,
+            "name": trainer.run_dir.name,
+            "optimizer": trainer.cfg.optimizer.kind,
+            "init": trainer.cfg.init_policy,
+            "mask_ratio": trainer.cfg.mask_ratio,
             "steps": trainer.schedule_step,
             "final_loss": final_loss(trainer.records),
             "wall_seconds": sum(r.wall_time for r in trainer.records),
             "ckpt": str(final),
         }
+
+    def run_arm(name, arm_cfg):
+        trainer = Trainer(arm_cfg, corpus, run_dir=run_dir / name)
+        return arm_row(trainer, trainer.train())
+
+    def step(trainer):
+        return trainer.train_step(trainer.stream.batch_at(trainer.attempted, cfg.batch_size)).wall_time
 
     # arms keep only their final checkpoint
     base = replace(cfg, init_policy="scratch", init_checkpoint="",
@@ -493,13 +497,16 @@ def run_ablation(cfg: TrainConfig, corpus: Corpus, run_dir: Path) -> dict:
     init = dict(init_policy="both-from-checkpoint", init_checkpoint=pre_row["ckpt"])
     arm1 = run_arm("scratch-adamw", replace(base, optimizer=adamw, mask_ratio=0.0))
     arm2 = run_arm("init-adamw", replace(base, optimizer=adamw, mask_ratio=0.0, **init))
-    arm3 = run_arm("init-lamb", replace(base, optimizer=lamb, mask_ratio=0.0, **init))
-    arm4 = run_arm(
-        "init-lamb-mask",
-        replace(base, optimizer=lamb, mask_ratio=mask_ratio,
-                total_steps=cfg.total_steps * 4, **init),
-        budget=arm3["wall_seconds"],
-    )
+    lamb_cfg = replace(base, optimizer=lamb, mask_ratio=0.0, **init)
+    unmasked = Trainer(lamb_cfg, corpus, run_dir=run_dir / "init-lamb")
+    masked = Trainer(replace(lamb_cfg, mask_ratio=mask_ratio, total_steps=cfg.total_steps * 4),
+                     corpus, run_dir=run_dir / "init-lamb-mask")
+    unmasked_s = masked_s = 0.0
+    while unmasked.schedule_step < unmasked.cfg.total_steps:
+        unmasked_s += step(unmasked)
+        while masked_s < unmasked_s and masked.schedule_step < masked.cfg.total_steps:
+            masked_s += step(masked)
+    arm3, arm4 = (arm_row(t, t.save(t.run_dir / "final.bin")) for t in (unmasked, masked))
 
     report = {
         "arms": [pre_row, arm1, arm2, arm3, arm4],

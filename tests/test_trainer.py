@@ -23,6 +23,7 @@ from deskclip.trainer import (
     bench,
     build_param_groups,
     init_from_checkpoint,
+    run_ablation,
 )
 
 
@@ -206,19 +207,43 @@ class TestScheduleInstrumentation:
         meta = load_checkpoint(tmp_path / "run" / "final.bin").metadata
         assert meta["samples_seen"] == cfg.batch_size * cfg.total_steps
 
-    def test_time_budget_counts_step_wall_times_only(self, corpus, tmp_path, monkeypatch):
+    def test_lamb_ablation_arms_step_alternately_on_step_wall_times(self, corpus, tmp_path, monkeypatch):
         real_save = trainer_module.save_checkpoint
 
-        def slow_save(path, ckpt):  # saves take longer than the whole budget
+        def slow_save(path, ckpt):  # each save takes longer than all the arms' steps
             time.sleep(0.2)
             real_save(path, ckpt)
 
+        lamb_steps = []  # (arm, wall_time) in the order the two LAMB arms stepped
+        real_step = Trainer.train_step
+
+        def logged_step(trainer, batch):
+            record = real_step(trainer, batch)
+            if trainer.run_dir.name in ("init-lamb", "init-lamb-mask"):
+                lamb_steps.append((trainer.run_dir.name, record.wall_time))
+            return record
+
         monkeypatch.setattr(trainer_module, "save_checkpoint", slow_save)
-        trainer = Trainer(tiny_cfg(checkpoint_interval=1), corpus, run_dir=tmp_path / "run")
-        trainer.train(max_seconds=0.1)
-        walls = [r.wall_time for r in trainer.records]
-        assert trainer.schedule_step < 30
-        assert sum(walls[:-1]) < 0.1 <= sum(walls)
+        monkeypatch.setattr(Trainer, "train_step", logged_step)
+        report = run_ablation(tiny_cfg(total_steps=6, warmup_steps=2), corpus, tmp_path / "ablate")
+        arms = {row["name"]: row for row in report["arms"]}
+        # the masked arm steps only while its summed wall_time is behind, and the
+        # unmasked arm steps again only once the masked arm has caught up
+        unmasked = masked = 0.0
+        for arm, wall in lamb_steps:
+            if arm == "init-lamb":
+                assert masked >= unmasked
+                unmasked += wall
+            else:
+                assert masked < unmasked
+                masked += wall
+        last_masked = next(wall for arm, wall in reversed(lamb_steps) if arm == "init-lamb-mask")
+        assert masked - last_masked < unmasked <= masked
+        assert arms["init-lamb"]["steps"] == 6
+        # slow saves count in neither arm, so the masked arm stops well short of its 24 steps
+        assert arms["init-lamb"]["wall_seconds"] == unmasked
+        assert arms["init-lamb-mask"]["wall_seconds"] == masked
+        assert arms["init-lamb-mask"]["steps"] < 24
 
 
 class TestCheckpointing:
