@@ -210,7 +210,7 @@ class TestScheduleInstrumentation:
     def test_lamb_ablation_arms_step_alternately_on_step_wall_times(self, corpus, tmp_path, monkeypatch):
         real_save = trainer_module.save_checkpoint
 
-        def slow_save(path, ckpt):  # each save takes longer than all the arms' steps
+        def slow_save(path, ckpt):  # each save takes longer than several tiny steps
             time.sleep(0.2)
             real_save(path, ckpt)
 
