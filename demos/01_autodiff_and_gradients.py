@@ -8,6 +8,7 @@ is what makes the quadratic case tight to ~1e-7.
 import numpy as np
 
 from deskclip import tensor as T
+from deskclip.errors import ContractError
 from deskclip.tensor import Tensor
 
 rng = np.random.default_rng(0)
@@ -21,7 +22,13 @@ print("forward value     :", y.item())
 print("dL/dx row sums    :", x.grad.sum(axis=1))
 print("dL/dw shape       :", w.grad.shape)
 
-# Gradients accumulate across backward calls until explicitly reset.
+# A graph is walked once: backward frees the tape as it goes, so walking y again is an error.
+try:
+    T.backward(y)
+except ContractError as err:
+    print("second backward   :", err)
+
+# Leaf gradients accumulate across backward calls until explicitly reset.
 T.zero_grads([x, w])
 print("after zero_grads  :", x.grad, w.grad)
 

@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 from .checkpoint import load_checkpoint
@@ -89,12 +90,28 @@ def _load_train_config(args) -> tuple[TrainConfig, str, Corpus]:
     return cfg, format_config(cfg.to_flat(), args.set), load_corpus(cfg.data_manifest)
 
 
+def read_corpus_spec(path: str | Path) -> CorpusSpec:
+    """A JSON object whose keys are CorpusSpec fields."""
+    try:
+        spec = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as err:
+        raise InputError(f"{path}: corpus spec is not JSON ({err})") from None
+    if not isinstance(spec, dict):
+        raise InputError(f"{path}: corpus spec must be a JSON object of CorpusSpec fields")
+    known = {f.name: f for f in fields(CorpusSpec)}
+    for key in spec:
+        if key not in known:
+            raise InputError(f"{path}: unknown corpus spec key {key!r}; known keys: {sorted(known)}")
+    for key, f in known.items():
+        if key not in spec and f.default is MISSING:
+            raise InputError(f"{path}: corpus spec key {key!r} is required")
+    if "caption_templates" in spec:
+        spec["caption_templates"] = tuple(spec["caption_templates"])
+    return CorpusSpec(**spec)
+
+
 def _cmd_gen_data(args) -> int:
-    spec_dict = json.loads(Path(args.spec).read_text())
-    if "caption_templates" in spec_dict:
-        spec_dict["caption_templates"] = tuple(spec_dict["caption_templates"])
-    spec = CorpusSpec(**spec_dict)
-    manifest = generate_corpus(spec, args.out)
+    manifest = generate_corpus(read_corpus_spec(args.spec), args.out)
     corpus = load_corpus(manifest)
     print(f"wrote {len(corpus.train)} train / {len(corpus.heldout)} held-out records")
     print(f"manifest: {manifest}")
@@ -229,10 +246,7 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except DeskclipError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as err:
+    except (DeskclipError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -223,11 +223,20 @@ class Corpus:
         return self.manifest["class_names"]
 
 
+_MANIFEST_KEYS = ("channels", "image_size", "class_names", "train_shards", "eval_shards")
+
+
 def load_corpus(manifest_path: str | Path) -> Corpus:
     manifest_path = Path(manifest_path)
-    manifest = json.loads(manifest_path.read_text())
-    if manifest.get("version") != 1:
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except json.JSONDecodeError as err:
+        raise FormatError(f"{manifest_path}: manifest is not JSON ({err})") from None
+    if not isinstance(manifest, dict) or manifest.get("version") != 1:
         raise FormatError(f"{manifest_path}: unsupported manifest version")
+    for key in _MANIFEST_KEYS:
+        if key not in manifest:
+            raise FormatError(f"{manifest_path}: manifest has no key {key!r}")
     shape = (manifest["channels"], manifest["image_size"], manifest["image_size"])
     base = manifest_path.parent
 
@@ -271,8 +280,7 @@ def random_resized_crop(image: np.ndarray, scale_range: tuple[float, float],
 @dataclass
 class Batch:
     images: np.ndarray  # float32 [b,c,h,w]
-    token_ids: np.ndarray  # int64 [b,L]
-    pad_mask: np.ndarray  # bool [b,L], True where PAD
+    token_ids: np.ndarray  # int64 [b,L], PAD_ID after EOS
 
 
 class BatchStream:
@@ -309,8 +317,4 @@ class BatchStream:
     def batch_at(self, step: int, batch_size: int) -> Batch:
         idx = self.indices_at(step * batch_size, batch_size)
         images = np.stack([to_float(self.records[i].image) for i in idx])
-        return Batch(
-            images=images,
-            token_ids=self.token_ids[idx],
-            pad_mask=self.token_ids[idx] == PAD_ID,
-        )
+        return Batch(images=images, token_ids=self.token_ids[idx])

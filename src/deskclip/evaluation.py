@@ -48,6 +48,12 @@ def build_class_embeddings(
         raise InputError("no class names given")
     if not templates:
         raise InputError("need at least one prompt template")
+    for t in templates:
+        try:
+            t.format("")
+        except (AttributeError, IndexError, KeyError, ValueError) as err:
+            raise InputError(f"prompt template {t!r} does not take one positional class name "
+                             f"({type(err).__name__}: {err})") from None
     embs = _normalize_rows(encode_texts([t.format(name) for name in class_names for t in templates]))
     return _normalize_rows(embs.reshape(len(class_names), len(templates), -1).mean(axis=1))
 

@@ -10,7 +10,7 @@ clamp, and the end of ``load_state_arrays`` on resume.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,13 +35,6 @@ class OptimizerConfig:
             raise ContractError(f"betas must be in [0, 1): {self.beta1}, {self.beta2}")
         if self.eps <= 0.0 or self.weight_decay < 0.0:
             raise ContractError(f"need eps > 0 and weight_decay >= 0, got {self.eps}, {self.weight_decay}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "OptimizerConfig":
-        return cls(**d)
 
 
 def default_decay_exempt(name: str) -> bool:

@@ -17,6 +17,11 @@ subgraph once, newest node first, so a node is visited after every consumer
 has passed it its gradient. It accumulates gradients additively on the leaves
 (tensors that require gradients but were not produced by an op); intermediate
 tensors keep ``grad`` as ``None``.
+
+A graph is walked once: ``backward`` drops each node's inputs and rule as
+soon as the rule has run, freeing the arrays the forward saved as it goes, and
+reaching a consumed node again raises ``ContractError``. Leaves are never
+consumed, so their gradients keep accumulating across graphs.
 """
 
 from __future__ import annotations
@@ -66,7 +71,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] = ()
+        self._parents: tuple[Tensor, ...] | None = ()  # None once backward consumed the node
         self._backward: Callable | None = None
         self._seq = next(_creation)
 
@@ -488,7 +493,8 @@ def backward(root: Tensor) -> None:
 
     Leaves are tensors without a backward rule (parameters and inputs);
     gradients flowing through intermediate tensors are consumed and dropped,
-    so their ``grad`` stays ``None``.
+    so their ``grad`` stays ``None``. The walk consumes the graph as it goes;
+    reaching a consumed node raises ``ContractError``.
     """
     if root.size != 1:
         raise ContractError(f"backward root must be scalar, got shape {root.shape}")
@@ -501,10 +507,14 @@ def backward(root: Tensor) -> None:
     while heap:
         _, node = heapq.heappop(heap)
         g = pending.pop(node._seq)
+        if node._parents is None:
+            raise ContractError(f"{node!r} was consumed by an earlier backward; a graph is walked once")
         if node._backward is None:
             node.grad = g.copy() if node.grad is None else node.grad + g
             continue
-        for parent, pg in zip(node._parents, node._backward(g)):
+        parents, grads = node._parents, node._backward(g)
+        node._parents = node._backward = None  # frees what the rule saved from the forward
+        for parent, pg in zip(parents, grads):
             if pg is None or not parent.requires_grad:
                 continue
             prev = pending.get(parent._seq)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .data import Batch, BatchStream, Corpus, TokenizerSpec, VOCAB_SIZE, random_resized_crop
+from .data import PAD_ID, VOCAB_SIZE, Batch, BatchStream, Corpus, TokenizerSpec, random_resized_crop
 from .encoders import MaskSpec, ModelConfig, assign_depth, interpolate_pos_embed
 from .errors import ContractError, DimensionError, DivergenceError, InputError
 from .model import MAX_LOG_SCALE, ClipModel
@@ -71,10 +71,6 @@ class TrainConfig:
     @property
     def schedule(self) -> Schedule:
         return Schedule(self.warmup_steps, self.total_steps, self.schedule_shape)
-
-    @property
-    def samples_planned(self) -> int:
-        return self.batch_size * self.total_steps
 
     def to_flat(self) -> dict:
         return {key: get(self) for key, get in _GETTERS}
@@ -260,8 +256,7 @@ class Trainer:
                 self.model, ckpt, "strict" if cfg.init_strict else "permissive", towers)
         self.stream = BatchStream(
             corpus.train, TokenizerSpec(cfg.model.text.context_length), seed=cfg.seed)
-        self.groups = build_param_groups(self.model, cfg)
-        self.opt = Optimizer(self.model.trainable(), self.groups, cfg.optimizer)
+        self.opt = Optimizer(self.model.trainable(), build_param_groups(self.model, cfg), cfg.optimizer)
         self.scaler = LossScalerState(scale=cfg.scale_init,
                                       growth_interval=cfg.scale_growth_interval)
         self.rng_step = np.random.default_rng(step_ss)
@@ -292,15 +287,13 @@ class Trainer:
         loss_value = loss.item()
 
         T.backward(T.mul(loss, Tensor(np.float32(self.scaler.scale))))
-        # free the tape here rather than when this frame returns, so wall_time counts its teardown
-        del img_emb, txt_emb, loss
-        params = self.model.trainable()
+        params = self.opt.params
         inv = np.float32(1.0 / self.scaler.scale)  # scale is a power of two; inf stays inf
         for p in params.values():
             if p.grad is not None:
                 p.grad *= inv
         group_lrs = {g.name: lr_at(cfg.schedule, g.peak_lr, self.schedule_step)
-                     for g in self.groups}
+                     for g in self.opt.groups}
         overflow = not self.opt.step(group_lrs)
         if not overflow:
             clamp_scale(self.model.logit_scale)
@@ -327,7 +320,7 @@ class Trainer:
             lrs=group_lrs,
             logit_scale=float(np.exp(min(self.model.logit_scale.item(), MAX_LOG_SCALE))),
             overflow=overflow,
-            tokens=len(images) * image_tokens + int((~batch.pad_mask).sum()),
+            tokens=len(images) * image_tokens + int((batch.token_ids != PAD_ID).sum()),
             wall_time=wall_time,
         )
         self.records.append(record)
@@ -384,11 +377,13 @@ class Trainer:
     def resume(self, ckpt: Checkpoint) -> None:
         """Restore params, optimizer state, rng, and counters for bit-exact continuation.
 
-        Every entry read here, and every tensor's shape, is checked before
-        anything is restored, so a rejected checkpoint leaves the trainer as it was.
+        Every entry read here, every tensor's shape and every optimizer array's
+        size are checked before anything is restored, so a rejected checkpoint
+        leaves the trainer as it was.
         """
+        opt_sizes = {name: arr.size for name, arr in self.opt.state_arrays().items()}
         for what, table, names in (("tensor", ckpt.tensors, self.model.params),
-                                   ("optimizer array", ckpt.optimizer, self.opt.state_arrays()),
+                                   ("optimizer array", ckpt.optimizer, opt_sizes),
                                    ("metadata key", ckpt.metadata, RESUME_METADATA)):
             for name in names:
                 if name not in table:
@@ -397,6 +392,10 @@ class Trainer:
             src = ckpt.tensors[name]
             if tuple(src.shape) != tuple(param.shape):
                 raise DimensionError(f"{name}: resume shape {src.shape} vs model {param.shape}")
+        for name, want in opt_sizes.items():
+            if ckpt.optimizer[name].size != want:
+                raise DimensionError(f"optimizer array {name!r}: checkpoint has "
+                                     f"{ckpt.optimizer[name].size} values, resume needs {want}")
         for name, param in self.model.params.items():
             param.data = ckpt.tensors[name].astype(np.float32)
         self.opt.load_state_arrays(ckpt.optimizer)

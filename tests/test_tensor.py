@@ -1,4 +1,5 @@
 import math
+import weakref
 import zlib
 
 import numpy as np
@@ -149,6 +150,42 @@ class TestBackward:
         c = Tensor(np.ones(3))
         T.backward(T.tsum(T.mul(x, c)))
         assert c.grad is None
+
+    def test_second_walk_of_the_same_root_rejected(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        y = T.tsum(T.mul(x, x))
+        T.backward(y)
+        with pytest.raises(ContractError, match="walked once"):
+            T.backward(y)
+        np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
+
+    def test_walk_reaching_a_consumed_intermediate_rejected(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        h = T.mul(x, x)
+        T.backward(T.tsum(h))
+        with pytest.raises(ContractError, match="walked once"):
+            T.backward(T.tsum(T.gelu(h)))
+
+    def test_walk_frees_saved_activations(self):
+        rng = np.random.default_rng(11)
+        x = rand_tensor(rng, (4, 3), requires_grad=True)
+        w = rand_tensor(rng, (3, 5), requires_grad=True)
+        h = T.matmul(x, w)
+        saved = weakref.ref(h.data)
+        y = T.tsum(T.gelu(h))
+        del h
+        T.backward(y)
+        assert saved() is None  # y is still alive, but no longer holds the graph
+        assert x.grad.shape == (4, 3) and w.grad.shape == (3, 5)
+        assert np.isfinite(x.grad).all() and np.isfinite(w.grad).all()
+
+    def test_leaves_accumulate_across_separate_graphs(self):
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        w = Tensor(np.array([3.0, 4.0]), requires_grad=True)
+        T.backward(T.tsum(T.mul(x, w)))
+        T.backward(T.tsum(T.mul(T.mul(x, x), w)))
+        np.testing.assert_allclose(x.grad, [3.0 + 2 * 3.0, 4.0 + 2 * 2 * 4.0])
+        np.testing.assert_allclose(w.grad, [1.0 + 1.0, 2.0 + 4.0])
 
 
 class TestPrecisionPolicy:

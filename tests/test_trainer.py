@@ -281,6 +281,24 @@ class TestCheckpointing:
         for name, p in straight.model.params.items():
             np.testing.assert_array_equal(p.data, resumed.model.params[name].data)
 
+    def test_wrong_sized_optimizer_array_rejected_before_anything_is_restored(self, corpus, tmp_path):
+        source = Trainer(tiny_cfg(total_steps=6, warmup_steps=2), corpus)
+        for _ in range(2):
+            source.train_step(source.stream.batch_at(source.attempted, 4))
+        ckpt = load_checkpoint(source.save(tmp_path / "src.bin"))
+        ckpt.optimizer["m/text.proj"] = np.zeros(7)
+
+        target = Trainer(tiny_cfg(total_steps=6, warmup_steps=2), corpus)
+        params = {n: p.data.copy() for n, p in target.model.params.items()}
+        state = {n: a.copy() for n, a in target.opt.state_arrays().items()}
+        with pytest.raises(DimensionError, match="'m/text.proj'.*7 values"):
+            target.resume(ckpt)
+        for name, data in params.items():
+            np.testing.assert_array_equal(target.model.params[name].data, data, err_msg=name)
+        for name, arr in target.opt.state_arrays().items():
+            np.testing.assert_array_equal(arr, state[name], err_msg=name)
+        assert target.schedule_step == 0 and target.attempted == 0
+
     def test_step_log_parseable_without_library(self, corpus, tmp_path):
         cfg = tiny_cfg(total_steps=5, warmup_steps=1)
         trainer = Trainer(cfg, corpus, run_dir=tmp_path / "run")
@@ -312,10 +330,6 @@ class TestConfig:
         flat["bogus_knob"] = 3
         with pytest.raises(InputError):
             TrainConfig.from_flat(flat)
-
-    def test_samples_planned(self):
-        cfg = tiny_cfg(total_steps=30, batch_size=4)
-        assert cfg.samples_planned == 120
 
     def test_vocab_mismatch_with_byte_tokenizer_rejected(self, corpus):
         cfg = tiny_cfg(model=preset("B/16"))
