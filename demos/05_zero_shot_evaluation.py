@@ -16,11 +16,11 @@ from deskclip.model import preset
 from deskclip.optim import OptimizerConfig
 from deskclip.trainer import TrainConfig, Trainer
 
-root = Path(tempfile.mkdtemp(prefix="deskclip-demo-"))
-corpus = load_corpus(generate_corpus(
-    CorpusSpec(num_classes=8, samples_per_class=24, image_size=32, seed=1,
-               caption_templates=("a photo of a {}", "an image of a {}")),
-    root / "data"))
+with tempfile.TemporaryDirectory(prefix="deskclip-demo-") as tmp:  # the corpus is read into memory
+    corpus = load_corpus(generate_corpus(
+        CorpusSpec(num_classes=8, samples_per_class=24, image_size=32, seed=1,
+                   caption_templates=("a photo of a {}", "an image of a {}")),
+        Path(tmp) / "data"))
 
 cfg = TrainConfig(
     model=preset("tiny"), optimizer=OptimizerConfig("lamb"),

@@ -182,7 +182,8 @@ def _cmd_bench(args) -> int:
     (run_dir / "bench.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     for label in ("unmasked", "masked"):
         row = report[label]
-        print(f"{label:>9}: median step {row['median_step_seconds']:.4f}s  "
+        print(f"{label:>9}: median step {row['median_step_seconds']:.4f}s "
+              f"(IQR {row['iqr_step_seconds']:.4f}s)  "
               f"({row['seconds_per_1m_samples'] / 3600.0:.2f} h per 1M samples)")
     print(f"step-time ratio (masked / unmasked): {report['step_time_ratio']:.3f}")
     print(f"peak resident memory: {report['peak_rss_kb']} kB")

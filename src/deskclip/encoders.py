@@ -246,8 +246,8 @@ def interpolate_pos_embed(pos: Tensor, new_grid: int) -> Tensor:
     return Tensor(np.concatenate([pos.data[:1], flat], axis=0))
 
 
-def _linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    return T.add(T.matmul(x, weight), bias)
+def _linear(x: Tensor, params: dict[str, Tensor], name: str) -> Tensor:
+    return T.linear(x, params[f"{name}.weight"], params[f"{name}.bias"])
 
 
 def _attention(
@@ -268,10 +268,10 @@ def _attention(
 
     hq = h if rows is None else T.take_tokens(h, rows)
     m = hq.shape[1]
-    q = split_heads(_linear(hq, params[f"{prefix}.q.weight"], params[f"{prefix}.q.bias"]))
+    q = split_heads(_linear(hq, params, f"{prefix}.q"))
     # keys go straight to [b, heads, hd, n], ready to multiply
-    kt = split_heads(_linear(h, params[f"{prefix}.k.weight"], params[f"{prefix}.k.bias"]), (0, 2, 3, 1))
-    v = split_heads(_linear(h, params[f"{prefix}.v.weight"], params[f"{prefix}.v.bias"]))
+    kt = split_heads(_linear(h, params, f"{prefix}.k"), (0, 2, 3, 1))
+    v = split_heads(_linear(h, params, f"{prefix}.v"))
 
     scores = T.matmul(q, kt) * (1.0 / math.sqrt(hd))
     if causal:
@@ -281,7 +281,7 @@ def _attention(
     weights = T.softmax_rows(scores)
     out = T.matmul(weights, v)
     out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (b, m, width))
-    return _linear(out, params[f"{prefix}.proj.weight"], params[f"{prefix}.proj.bias"])
+    return _linear(out, params, f"{prefix}.proj")
 
 
 def drop_path(branch: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
@@ -312,8 +312,7 @@ def _block(
         x = T.take_tokens(x, rows)
     x = T.add(x, drop_path(_attention(h, params, f"{p}.attn", heads, causal, rows), dp_rate, rng))
     h = T.layer_norm(x, params[f"{p}.norm2.gain"], params[f"{p}.norm2.bias"])
-    h = _linear(T.gelu(_linear(h, params[f"{p}.mlp.fc.weight"], params[f"{p}.mlp.fc.bias"])),
-                params[f"{p}.mlp.proj.weight"], params[f"{p}.mlp.proj.bias"])
+    h = _linear(T.gelu(_linear(h, params, f"{p}.mlp.fc")), params, f"{p}.mlp.proj")
     return T.add(x, drop_path(h, dp_rate, rng))
 
 
@@ -365,7 +364,7 @@ def encode_image(
         raise ContractError("masked encoding needs the caller's seeded generator")
 
     b = x.shape[0]
-    tokens = _linear(patchify(x, cfg.patch_size), params["patch_embed.weight"], params["patch_embed.bias"])
+    tokens = _linear(patchify(x, cfg.patch_size), params, "patch_embed")
     cls = T.add(T.reshape(params["cls_token"], (1, 1, cfg.width)),
                 Tensor(np.zeros((b, 1, cfg.width), dtype=np.float32)))
     x = T.concat([cls, tokens], axis=1)

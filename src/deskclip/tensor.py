@@ -10,6 +10,12 @@ in float64 end to end (GELU through ``scipy.special.erf``); the
 finite-difference oracle uses this mode. An op whose inputs mix the two
 dtypes computes in float64.
 
+A linear layer is one node (one 2-D product, bias added in place), and GELU
+runs in one chunked pass that allocates only its output and, when backward
+will run, the erf values it reuses. An op writes only into arrays it
+allocated itself, never into an incoming gradient (``add`` hands the same one
+to both inputs) or an input's data.
+
 The graph is a tape of closures: each op attaches the producing inputs and a
 backward rule to its output. Every tensor carries a creation number, and an
 op's output is always newer than its inputs. ``backward`` walks the reachable
@@ -217,40 +223,69 @@ _ERF_Q = tuple(np.float32(c) for c in (
 _BLOCK = 1 << 16  # elements per chunk of the GELU loops; the temporaries stay in L2
 
 
+def _erf_chunk(src: np.ndarray, xc: np.ndarray, x2: np.ndarray, q: np.ndarray, out: np.ndarray) -> None:
+    """Write ``erf(src)`` into ``out``; ``xc``, ``x2`` and ``q`` are scratch (``xc`` may be ``src``)."""
+    np.maximum(src, np.float32(-4.0), out=xc)
+    np.minimum(xc, np.float32(4.0), out=xc)
+    np.multiply(xc, xc, out=x2)
+    np.multiply(x2, _ERF_P[0], out=out)
+    for c in _ERF_P[1:-1]:
+        out += c
+        out *= x2
+    out += _ERF_P[-1]
+    out *= xc
+    np.multiply(x2, _ERF_Q[0], out=q)
+    for c in _ERF_Q[1:-1]:
+        q += c
+        q *= x2
+    q += _ERF_Q[-1]
+    np.divide(out, q, out=out)
+
+
+def _chunks(size: int):
+    """``(lo, hi)`` bounds of the ``_BLOCK``-element chunks covering ``size`` elements."""
+    return ((lo, min(lo + _BLOCK, size)) for lo in range(0, size, _BLOCK))
+
+
 def erf_f32(x: np.ndarray) -> np.ndarray:
     """float32 ``erf`` within 5e-7 of the exact value; NaN propagates."""
     flat = np.ascontiguousarray(x, dtype=np.float32).reshape(-1)
     out = np.empty_like(flat)
-    n = min(flat.size, _BLOCK)
-    xc_buf, x2_buf, q_buf = (np.empty(n, np.float32) for _ in range(3))
-    for lo in range(0, flat.size, _BLOCK):
-        hi = min(lo + _BLOCK, flat.size)
-        xc, x2, q, p = xc_buf[: hi - lo], x2_buf[: hi - lo], q_buf[: hi - lo], out[lo:hi]
-        np.maximum(flat[lo:hi], np.float32(-4.0), out=xc)
-        np.minimum(xc, np.float32(4.0), out=xc)
-        np.multiply(xc, xc, out=x2)
-        np.multiply(x2, _ERF_P[0], out=p)
-        for c in _ERF_P[1:-1]:
-            p += c
-            p *= x2
-        p += _ERF_P[-1]
-        p *= xc
-        np.multiply(x2, _ERF_Q[0], out=q)
-        for c in _ERF_Q[1:-1]:
-            q += c
-            q *= x2
-        q += _ERF_Q[-1]
-        np.divide(p, q, out=p)
+    xc_buf, x2_buf, q_buf = (np.empty(min(flat.size, _BLOCK), np.float32) for _ in range(3))
+    for lo, hi in _chunks(flat.size):
+        n = hi - lo
+        _erf_chunk(flat[lo:hi], xc_buf[:n], x2_buf[:n], q_buf[:n], out[lo:hi])
     return out.reshape(np.shape(x))
+
+
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 def gelu(a: Tensor) -> Tensor:
     x = a.data
     if x.dtype == np.float32:
-        inner = erf_f32(x * np.float32(1.0 / math.sqrt(2.0)))
+        # one chunked pass: scale, erf and 0.5 * x * (1 + erf) per chunk, so
+        # only the output and, when backward will run, the erf values it reuses
+        # are full size
+        flat = np.ascontiguousarray(x).reshape(-1)
+        data = np.empty_like(flat)
+        keep = _grad_enabled and a.requires_grad
+        chunk = min(flat.size, _BLOCK)
+        inner = np.empty_like(flat) if keep else np.empty(chunk, np.float32)
+        xc_buf, x2_buf, q_buf = (np.empty(chunk, np.float32) for _ in range(3))
+        for lo, hi in _chunks(flat.size):
+            n = hi - lo
+            xs, xc, x2, d = flat[lo:hi], xc_buf[:n], x2_buf[:n], data[lo:hi]
+            e = inner[lo:hi] if keep else inner[:n]
+            np.multiply(xs, np.float32(_INV_SQRT2), out=xc)
+            _erf_chunk(xc, xc, x2, q_buf[:n], e)
+            np.add(e, 1.0, out=x2)
+            np.multiply(xs, 0.5, out=d)
+            d *= x2
+        inner, data = inner.reshape(x.shape) if keep else None, data.reshape(x.shape)
     else:
-        inner = erf(x * (1.0 / math.sqrt(2.0)))
-    data = 0.5 * x * (1.0 + inner)
+        inner = erf(x * _INV_SQRT2)
+        data = 0.5 * x * (1.0 + inner)
 
     def backward(g):
         # d/dx = Phi(x) + x * pdf(x), with Phi taken from the forward's erf;
@@ -259,8 +294,7 @@ def gelu(a: Tensor) -> Tensor:
         gf = np.ascontiguousarray(g, dtype=x.dtype).reshape(-1)
         out = np.empty_like(ef)
         pdf_buf = np.empty(min(xf.size, _BLOCK), x.dtype)
-        for lo in range(0, xf.size, _BLOCK):
-            hi = min(lo + _BLOCK, xf.size)
+        for lo, hi in _chunks(xf.size):
             xs, pdf, local = xf[lo:hi], pdf_buf[: hi - lo], out[lo:hi]
             np.multiply(xs, xs, out=pdf)
             pdf *= -0.5
@@ -360,27 +394,46 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product in the inputs' storage dtype; batched when ndim > 2.
 
     float32 inputs run as sgemm and float64 inputs as dgemm; a mixed pair
-    computes in float64. A 2-D ``b`` is shared across every leading axis of
-    ``a``, which runs as one 2-D product over ``a``'s flattened rows.
-    Otherwise leading (batch) extents must match exactly; broadcasting batch
-    dims is not supported.
+    computes in float64. Leading (batch) extents must match exactly;
+    broadcasting batch dims is not supported (``linear`` shares a 2-D weight
+    across leading axes).
     """
     if a.ndim < 2 or b.ndim < 2:
         raise DimensionError(f"matmul needs matrices, got {a.shape} x {b.shape}")
-    shared = b.ndim == 2
-    if a.shape[-1] != b.shape[-2] or (not shared and a.shape[:-2] != b.shape[:-2]):
+    if a.shape[-1] != b.shape[-2] or a.shape[:-2] != b.shape[:-2]:
         raise DimensionError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    a2 = a.data.reshape(-1, a.shape[-1]) if shared else a.data
-    data = np.matmul(a2, b.data).reshape(a.shape[:-1] + b.shape[-1:])
+    data = np.matmul(a.data, b.data)
 
     def backward(g):
         g = g.astype(data.dtype, copy=False)
-        g2 = g.reshape(-1, g.shape[-1]) if shared else g
-        ga = np.matmul(g2, np.swapaxes(b.data, -1, -2)).reshape(a.shape) if a.requires_grad else None
-        gb = np.matmul(np.swapaxes(a2, -1, -2), g2) if b.requires_grad else None
+        ga = np.matmul(g, np.swapaxes(b.data, -1, -2)) if a.requires_grad else None
+        gb = np.matmul(np.swapaxes(a.data, -1, -2), g) if b.requires_grad else None
         return ga, gb
 
     return _make(data, (a, b), backward)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` as one node: one 2-D product over ``x``'s flattened rows,
+    with ``b`` added into its output in place. A mixed float32/float64 triple
+    computes in float64."""
+    if w.ndim != 2 or x.ndim < 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise DimensionError(f"linear shape mismatch: {x.shape} x {w.shape} + {b.shape}")
+    dt = _result_dtype(x, w, b)
+    x2 = x.data.reshape(-1, x.shape[-1]).astype(dt, copy=False)
+    wd = w.data.astype(dt, copy=False)
+    out = np.matmul(x2, wd)
+    out += b.data
+    data = out.reshape(x.shape[:-1] + w.shape[1:])
+
+    def backward(g):
+        g2 = g.astype(dt, copy=False).reshape(-1, w.shape[1])
+        gx = np.matmul(g2, wd.T).reshape(x.shape) if x.requires_grad else None
+        gw = np.matmul(x2.T, g2) if w.requires_grad else None
+        gb = g2.sum(axis=0) if b.requires_grad else None
+        return gx, gw, gb
+
+    return _make(data, (x, w, b), backward)
 
 
 # -- reductions ---------------------------------------------------------------

@@ -6,7 +6,6 @@ from __future__ import annotations
 import json
 import math
 import resource
-import statistics
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from operator import attrgetter
@@ -411,7 +410,8 @@ class Trainer:
 
 
 def bench(cfg: TrainConfig, corpus: Corpus, steps: int, warmup: int = 5) -> dict:
-    """Median step time with masking on vs off; first ``warmup`` steps excluded.
+    """Median step time and its quartiles with masking on vs off; first
+    ``warmup`` steps excluded.
 
     The two trainers step alternately, so drift in machine speed during the
     run hits both arms alike instead of skewing their ratio.
@@ -430,10 +430,13 @@ def bench(cfg: TrainConfig, corpus: Corpus, steps: int, warmup: int = 5) -> dict
             batch = trainer.stream.batch_at(trainer.attempted, cfg.batch_size)
             times[label].append(trainer.train_step(batch).wall_time)
     for label, (ratio, _) in arms.items():
-        med = statistics.median(times[label][warmup:])
+        q1, med, q3 = (float(q) for q in np.percentile(times[label][warmup:], [25, 50, 75]))
         report[label] = {
             "mask_ratio": ratio,
+            "q1_step_seconds": q1,
             "median_step_seconds": med,
+            "q3_step_seconds": q3,
+            "iqr_step_seconds": q3 - q1,
             "seconds_per_sample": med / cfg.batch_size,
             "seconds_per_1m_samples": med / cfg.batch_size * 1e6,
         }

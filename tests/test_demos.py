@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the library as it stands."""
+"""Every demo script runs to completion against the library as it stands and
+removes the temporary files it made."""
 
 import os
 import subprocess
@@ -17,3 +18,4 @@ def test_demo_exits_cleanly(demo, tmp_path):
     done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr[-2000:]
+    assert not list(tmp_path.glob("deskclip-demo-*")), "the demo left its temporary directory behind"

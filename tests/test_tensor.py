@@ -67,6 +67,8 @@ class TestMatmul:
             T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))))
         with pytest.raises(DimensionError, match=r"\(2, 3, 4\).*\(3, 4, 2\)"):
             T.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 2))))
+        with pytest.raises(DimensionError, match=r"\(2, 3, 4\).*\(4, 2\)"):
+            T.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((4, 2))))
 
 
 class TestLayerNorm:
@@ -223,6 +225,11 @@ class TestPrecisionPolicy:
         for leaf in (x, w, gain, bias):
             assert leaf.grad.dtype == dtype
 
+    def test_mixed_layer_norm_computes_in_float64(self):
+        x = np.random.default_rng(14).standard_normal((3, 4)).astype(np.float32)
+        out = T.layer_norm(Tensor(x), Tensor(np.ones(4), dtype=np.float64), Tensor(np.zeros(4)))
+        assert out.dtype == np.float64
+
     def test_grads_stored_on_leaves_only(self):
         rng = np.random.default_rng(10)
         x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
@@ -257,6 +264,107 @@ class TestEmbeddingBackward:
         assert table.grad.dtype == np.float32
         assert np.all(err <= bound + np.abs(exact) * np.finfo(np.float32).eps / 2)
         np.testing.assert_array_equal(table.grad[count[:, 0] == 0], 0.0)
+
+
+def _row_sum64(x):
+    return x.sum(axis=-1, keepdims=True, dtype=np.float64).astype(x.dtype)
+
+
+def _run(op, arrays, g):
+    """Output and input gradients of the one-node ``op`` under the upstream
+    gradient ``g``; also checks that its rules wrote to neither the inputs nor ``g``."""
+    before = [a.copy() for a in arrays] + [g.copy()]
+    out = op(*(Tensor(a, requires_grad=True) for a in arrays))
+    grads = out._backward(g)
+    for kept, now in zip(before, list(arrays) + [g]):
+        np.testing.assert_array_equal(now, kept)
+    return [out.data, *grads]
+
+
+def _assert_bytes_equal(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+# (2, 3, 7) fits one chunk of the GELU loop; (3, 9363, 7) has 3 * 2**16 + 15 elements
+@pytest.mark.parametrize("shape", [(2, 3, 7), (3, 9363, 7)], ids=["one_chunk", "straddles_chunks"])
+class TestOpsMatchTheirFormulas:
+    """The float32 ops give the bytes of their reference formulas, and their
+    backward rules write into neither their inputs nor the incoming gradient."""
+
+    def _arrays(self, shape, *extra):
+        rng = np.random.default_rng(shape[1])
+        return [rng.standard_normal(s).astype(np.float32) for s in (shape,) + extra]
+
+    def test_linear_is_matmul_then_bias_add(self, shape):
+        x, w, b, g = self._arrays(shape, (shape[-1], 5), (5,), shape[:-1] + (5,))
+        leaves = [Tensor(a, requires_grad=True) for a in (x, w, b)]
+        rows = T.reshape(leaves[0], (-1, shape[-1]))
+        composite = T.reshape(T.add(T.matmul(rows, leaves[1]), leaves[2]), shape[:-1] + (5,))
+        T.backward(T.tsum(T.mul(composite, Tensor(g))))
+        _assert_bytes_equal(_run(T.linear, [x, w, b], g),
+                            [composite.data] + [leaf.grad for leaf in leaves])
+
+    def test_gelu_is_the_erf_formula(self, shape):
+        x, g = self._arrays(shape, shape)
+        inner = T.erf_f32(x * np.float32(1.0 / math.sqrt(2.0)))
+        pdf = x * x
+        pdf *= -0.5
+        np.exp(pdf, out=pdf)
+        pdf *= x
+        pdf *= 1.0 / math.sqrt(2.0 * math.pi)
+        grad = inner * 0.5
+        grad += 0.5
+        grad += pdf
+        grad *= g
+        _assert_bytes_equal(_run(T.gelu, [x], g), [0.5 * x * (1.0 + inner), grad])
+        with T.no_grad():  # keeps no full-size erf values
+            _assert_bytes_equal([T.gelu(Tensor(x)).data], [0.5 * x * (1.0 + inner)])
+
+    def test_layer_norm_is_the_moment_formula(self, shape):
+        x, gain, bias, g = self._arrays(shape, shape[-1:], shape[-1:], shape)
+        xhat = x - x.mean(axis=-1, keepdims=True, dtype=np.float64).astype(np.float32)
+        var = np.mean(xhat * xhat, axis=-1, keepdims=True, dtype=np.float64)
+        inv_sigma = (1.0 / np.sqrt(var + 1e-5)).astype(np.float32)
+        xhat *= inv_sigma
+        dxhat = g * gain
+        gx = dxhat - dxhat.mean(axis=-1, keepdims=True, dtype=np.float64).astype(np.float32)
+        gx -= xhat * (dxhat * xhat).mean(axis=-1, keepdims=True, dtype=np.float64).astype(np.float32)
+        gx *= inv_sigma
+        rows = (-1, shape[-1])
+        ggain = (g * xhat).reshape(rows).sum(axis=0, dtype=np.float64).astype(np.float32)
+        gbias = g.reshape(rows).sum(axis=0, dtype=np.float64).astype(np.float32)
+        _assert_bytes_equal(_run(T.layer_norm, [x, gain, bias], g),
+                            [xhat * gain + bias, gx, ggain, gbias])
+
+    def test_softmax_is_the_exp_formula(self, shape):
+        x, g = self._arrays(shape, shape)
+        s = np.exp(x - x.max(axis=-1, keepdims=True))
+        s /= _row_sum64(s)
+        _assert_bytes_equal(_run(T.softmax_rows, [x], g), [s, s * (g - _row_sum64(g * s))])
+
+
+class TestLinear:
+    def test_mixed_dtypes_compute_in_float64(self):
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((2, 3, 4)).astype(np.float32)
+        w = rng.standard_normal((4, 5))
+        b = rng.standard_normal(5).astype(np.float32)
+        wt = Tensor(w, requires_grad=True, dtype=np.float64)
+        out = T.linear(Tensor(x), wt, Tensor(b))
+        assert out.dtype == np.float64
+        want = np.matmul(x.reshape(-1, 4).astype(np.float64), w) + b.astype(np.float64)
+        np.testing.assert_array_equal(out.data, want.reshape(2, 3, 5))
+        T.backward(T.tsum(out))
+        assert wt.grad.dtype == np.float64
+
+    def test_shape_mismatch_names_all_shapes(self):
+        with pytest.raises(DimensionError, match=r"\(2, 3\).*\(4, 5\).*\(5,\)"):
+            T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))), Tensor(np.zeros(5)))
+        with pytest.raises(DimensionError, match=r"\(4,\)"):
+            T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 5))), Tensor(np.zeros(4)))
 
 
 class TestGradCheck:
@@ -311,8 +419,9 @@ OP_CASES = [
     ("gelu", (2, 4), lambda x, c: T.gelu(x)),
     ("matmul", (2, 4), lambda x, c: T.matmul(x, _const(c((4, 3)), x))),
     ("matmul_batched", (2, 3, 5, 4), lambda x, c: T.matmul(x, _const(c((2, 3, 4, 2)), x))),
-    ("matmul_shared_weight", (2, 3, 4), lambda x, c: T.matmul(x, _const(c((4, 5)), x))),
-    ("matmul_shared_weight_grad", (4, 5), lambda x, c: T.matmul(_const(c((2, 3, 4)), x), x)),
+    ("linear", (2, 3, 4), lambda x, c: T.linear(x, _const(c((4, 5)), x), _const(c((5,)), x))),
+    ("linear_weight_grad", (4, 5), lambda x, c: T.linear(_const(c((2, 3, 4)), x), x, _const(c((5,)), x))),
+    ("linear_bias_grad", (5,), lambda x, c: T.linear(_const(c((2, 3, 4)), x), _const(c((4, 5)), x), x)),
     ("reshape", (2, 6), lambda x, c: T.reshape(x, (3, 4))),
     ("transpose", (2, 3, 2), lambda x, c: T.transpose(x, (1, 0, 2))),
     ("concat", (2, 4), lambda x, c: T.concat([x, _const(c((2, 3)), x)], axis=1)),

@@ -369,6 +369,13 @@ class TestBench:
         assert report["masked"]["mask_ratio"] == 0.5
         assert report["peak_rss_kb"] > 0
 
+    def test_quartiles_bracket_the_median(self, corpus):
+        report = bench(tiny_cfg(batch_size=8, mask_ratio=0.5), corpus, steps=6, warmup=1)
+        for label in ("unmasked", "masked"):
+            row = report[label]
+            assert row["q1_step_seconds"] <= row["median_step_seconds"] <= row["q3_step_seconds"]
+            assert row["iqr_step_seconds"] == row["q3_step_seconds"] - row["q1_step_seconds"]
+
     def test_repeated_runs_agree_within_ten_percent(self, corpus):
         from deskclip.model import preset as model_preset
 
