@@ -4,20 +4,23 @@ Layout (little-endian): magic "CFCK", u32 version, u64 metadata length +
 UTF-8 JSON, then two tables (model tensors as float32, optimizer arrays as
 float64), each: u32 entry count followed by [u16 name length, name bytes,
 u8 dtype code, u8 ndim, u32 dims...] rows, then all payloads in table order.
-Names are written sorted, so save -> load -> save is byte-identical.
+Names are written sorted, so save -> load -> save is byte-identical. The
+magic/version framing and every bounds check come from ``binfile.Reader``,
+which shards share: a truncated or malformed file raises ``CorruptionError``
+with a byte offset, a wrong magic or version ``FormatError``.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import CorruptionError, FormatError
+from .binfile import Reader, write_header
+from .errors import CorruptionError
 
 MAGIC = b"CFCK"
 VERSION = 1
@@ -51,8 +54,7 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
     optim = {k: np.ascontiguousarray(v, dtype=np.float64) for k, v in ckpt.optimizer.items()}
     meta = json.dumps(ckpt.metadata, sort_keys=True).encode("utf-8")
     with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", VERSION))
+        write_header(f, MAGIC, VERSION)
         f.write(struct.pack("<Q", len(meta)))
         f.write(meta)
         model_names = _write_table(f, tensors)
@@ -63,60 +65,23 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
             f.write(optim[name].tobytes())
 
 
+def _read_table(r: Reader) -> list[tuple[str, type, tuple[int, ...]]]:
+    entries = []
+    for _ in range(r.unpack("<I", "table size")[0]):
+        name = r.parse(r.unpack("<H", "name length")[0], "name", bytes.decode)
+        code, ndim = r.unpack("<BB", "dtype/ndim")
+        if code not in _DTYPES:
+            raise CorruptionError(f"{r.path}: unknown dtype code {code}", offset=r.off)
+        entries.append((name, _DTYPES[code], r.unpack(f"<{ndim}I", "shape")))
+    return entries
+
+
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    blob = Path(path).read_bytes()
-    off = 0
-
-    def take(n, what):
-        nonlocal off
-        if off + n > len(blob):
-            raise CorruptionError(f"{path}: truncated {what} at byte offset {off}", offset=off)
-        out = blob[off : off + n]
-        off += n
-        return out
-
-    def parse(n, what, convert):
-        at = off
-        raw = take(n, what)
-        try:
-            return convert(raw)
-        except ValueError:  # bad UTF-8 or JSON, or extents numpy cannot hold
-            raise CorruptionError(f"{path}: malformed {what} at byte offset {at}", offset=at) from None
-
-    if take(4, "magic") != MAGIC:
-        raise FormatError(f"{path}: not a checkpoint file")
-    version = struct.unpack("<I", take(4, "version"))[0]
-    if version != VERSION:
-        raise FormatError(f"{path}: unsupported checkpoint version {version}")
-    meta_len = struct.unpack("<Q", take(8, "metadata length"))[0]
-    metadata = parse(meta_len, "metadata", lambda raw: json.loads(raw.decode("utf-8")))
-
-    def read_table():
-        count = struct.unpack("<I", take(4, "table size"))[0]
-        entries = []
-        for _ in range(count):
-            name_len = struct.unpack("<H", take(2, "name length"))[0]
-            name = parse(name_len, "name", bytes.decode)
-            code, ndim = struct.unpack("<BB", take(2, "dtype/ndim"))
-            if code not in _DTYPES:
-                raise CorruptionError(f"{path}: unknown dtype code {code}", offset=off)
-            shape = struct.unpack(f"<{ndim}I", take(4 * ndim, "shape"))
-            entries.append((name, _DTYPES[code], shape))
-        return entries
-
-    model_entries = read_table()
-    opt_entries = read_table()
-
-    def read_payloads(entries):
-        out = {}
-        for name, dtype, shape in entries:
-            nbytes = math.prod(shape) * np.dtype(dtype).itemsize
-            out[name] = parse(nbytes, f"payload of {name}",
-                              lambda raw: np.frombuffer(raw, dtype=dtype).reshape(shape).copy())
-        return out
-
-    tensors = read_payloads(model_entries)
-    optim = read_payloads(opt_entries)
-    if off != len(blob):
-        raise CorruptionError(f"{path}: {len(blob) - off} trailing bytes", offset=off)
+    r = Reader(path, MAGIC, VERSION, "checkpoint")
+    metadata = r.parse(r.unpack("<Q", "metadata length")[0], "metadata",
+                       lambda raw: json.loads(raw.decode("utf-8")))
+    model_entries, opt_entries = _read_table(r), _read_table(r)
+    tensors = {name: r.array(dtype, shape, f"payload of {name}") for name, dtype, shape in model_entries}
+    optim = {name: r.array(dtype, shape, f"payload of {name}") for name, dtype, shape in opt_entries}
+    r.finish()
     return Checkpoint(tensors, optim, metadata)

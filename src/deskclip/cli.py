@@ -13,6 +13,7 @@ import os
 import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 from .checkpoint import load_checkpoint
 from .data import Corpus, CorpusSpec, generate_corpus, load_corpus
@@ -23,6 +24,7 @@ from .trainer import (
     TrainConfig,
     Trainer,
     bench,
+    coerce,
     final_loss,
     format_ablation_table,
     init_from_checkpoint,
@@ -105,9 +107,19 @@ def read_corpus_spec(path: str | Path) -> CorpusSpec:
     for key, f in known.items():
         if key not in spec and f.default is MISSING:
             raise InputError(f"{path}: corpus spec key {key!r} is required")
-    if "caption_templates" in spec:
-        spec["caption_templates"] = tuple(spec["caption_templates"])
-    return CorpusSpec(**spec)
+    hints = get_type_hints(CorpusSpec)
+    return CorpusSpec(**{key: _json_value(hints[key], value, f"{path}: corpus spec key {key!r}")
+                         for key, value in spec.items()})
+
+
+def _json_value(kind: type, value, what: str):
+    """``value`` as a ``kind`` where converting changes nothing: "8" and 2.5 are no int."""
+    if get_origin(kind) is tuple and isinstance(value, list):
+        return tuple(_json_value(get_args(kind)[0], item, what) for item in value)
+    out = coerce(kind, value, what)
+    if out != value:
+        raise InputError(f"{what}: {value!r} is not a valid {kind.__name__}")
+    return out
 
 
 def _cmd_gen_data(args) -> int:

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .binfile import Reader, write_header
 from .errors import ContractError, CorruptionError, FormatError, InputError
 from .resample import bilinear_resize
 
@@ -79,8 +80,7 @@ class ShardRecord:
 
 def write_shard(records: list[ShardRecord], path: str | Path) -> None:
     with open(path, "wb") as f:
-        f.write(SHARD_MAGIC)
-        f.write(struct.pack("<I", SHARD_VERSION))
+        write_header(f, SHARD_MAGIC, SHARD_VERSION)
         f.write(struct.pack("<Q", len(records)))
         for r in records:
             img = np.ascontiguousarray(r.image, dtype=np.uint8).tobytes()
@@ -90,41 +90,23 @@ def write_shard(records: list[ShardRecord], path: str | Path) -> None:
             f.write(r.caption)
 
 
-def read_shard(path: str | Path, image_shape: tuple[int, int, int] | None = None):
-    """Yield records in file order; raises on bad magic or truncation."""
-    blob = Path(path).read_bytes()
-
-    def take(offset, n, what):
-        if offset + n > len(blob):
-            raise CorruptionError(f"{path}: truncated {what} at byte offset {offset}", offset=offset)
-        return blob[offset : offset + n], offset + n
-
-    head, off = take(0, 4, "magic")
-    if head != SHARD_MAGIC:
-        raise FormatError(f"{path}: bad magic {head!r}")
-    raw, off = take(off, 4, "version")
-    version = struct.unpack("<I", raw)[0]
-    if version != SHARD_VERSION:
-        raise FormatError(f"{path}: unsupported shard version {version}")
-    raw, off = take(off, 8, "record count")
-    count = struct.unpack("<Q", raw)[0]
-
-    for _ in range(count):
-        raw, off = take(off, 8, "record header")
-        class_id, img_len = struct.unpack("<II", raw)
+def read_shard(path: str | Path, image_shape: tuple[int, int, int] | None = None,
+               num_classes: int | None = None):
+    """Yield records in file order; raises on bad magic, truncation, an image
+    that does not fit ``image_shape`` or a class id not below ``num_classes``."""
+    r = Reader(path, SHARD_MAGIC, SHARD_VERSION, "shard")
+    for _ in range(r.unpack("<Q", "record count")[0]):
+        at = r.off
+        class_id, img_len = r.unpack("<II", "record header")
+        if num_classes is not None and class_id >= num_classes:
+            raise CorruptionError(f"{path}: class id {class_id} at byte offset {at} does not name "
+                                  f"one of {num_classes} classes", offset=at)
         if image_shape is not None and img_len != math.prod(image_shape):
-            raise CorruptionError(f"{path}: {img_len}-byte image at byte offset {off - 4} does not "
-                                  f"fit shape {image_shape}", offset=off - 4)
-        raw, off = take(off, img_len, "image payload")
-        img = np.frombuffer(raw, dtype=np.uint8)
-        if image_shape is not None:
-            img = img.reshape(image_shape)
-        raw, off = take(off, 4, "caption length")
-        cap_len = struct.unpack("<I", raw)[0]
-        cap, off = take(off, cap_len, "caption payload")
-        yield ShardRecord(class_id, img, cap)
-    if off != len(blob):
-        raise CorruptionError(f"{path}: {len(blob) - off} trailing bytes after last record", offset=off)
+            raise CorruptionError(f"{path}: {img_len}-byte image at byte offset {at + 4} does not "
+                                  f"fit shape {image_shape}", offset=at + 4)
+        img = r.array(np.uint8, image_shape or (img_len,), "image payload")
+        yield ShardRecord(class_id, img, r.take(r.unpack("<I", "caption length")[0], "caption payload"))
+    r.finish()
 
 
 # -- corpus generation -------------------------------------------------------------
@@ -237,13 +219,19 @@ def load_corpus(manifest_path: str | Path) -> Corpus:
     for key in _MANIFEST_KEYS:
         if key not in manifest:
             raise FormatError(f"{manifest_path}: manifest has no key {key!r}")
+    for key in ("channels", "image_size"):
+        if type(manifest[key]) is not int or manifest[key] < 1:
+            raise FormatError(f"{manifest_path}: manifest key {key!r} must be a positive integer, "
+                              f"got {manifest[key]!r}")
+    if not isinstance(manifest["class_names"], list):
+        raise FormatError(f"{manifest_path}: manifest key 'class_names' must be a list")
     shape = (manifest["channels"], manifest["image_size"], manifest["image_size"])
     base = manifest_path.parent
 
     def read_split(names):
         records = []
         for name in names:
-            records.extend(read_shard(base / name, shape))
+            records.extend(read_shard(base / name, shape, len(manifest["class_names"])))
         return records
 
     return Corpus(manifest, read_split(manifest["train_shards"]), read_split(manifest["eval_shards"]))

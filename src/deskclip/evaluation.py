@@ -240,12 +240,15 @@ def evaluate(model: ClipModel, corpus: Corpus,
     distribution-shift variants (extra noise, aggressive crop) feeding the
     robustness gap, plus image/text retrieval over the held-out pairs."""
     names = list(class_names) if class_names is not None else corpus.class_names
+    labels = np.array([r.class_id for r in corpus.heldout])
+    unnamed = labels[labels >= len(names)]
+    if unnamed.size:
+        raise InputError(f"held-out label {unnamed[0]} has no class name ({len(names)} given)")
     templates = tuple(templates) if templates else DEFAULT_TEMPLATES
     text_encoder = make_text_encoder(model)
     classes = build_class_embeddings(names, templates, text_encoder)
 
     images = np.stack([to_float(r.image) for r in corpus.heldout])
-    labels = np.array([r.class_id for r in corpus.heldout])
     rng = np.random.default_rng(0)  # fixed shift variants, comparable across checkpoints
     variants = {
         "heldout": images,

@@ -223,7 +223,8 @@ class LossScalerState:
     backoff_factor: float = 0.5
 
     def __post_init__(self):
-        if self.scale <= 0.0 or self.growth_factor <= 1.0 or not 0.0 < self.backoff_factor < 1.0:
+        if (not 0.0 < self.scale < math.inf or self.growth_factor <= 1.0
+                or not 0.0 < self.backoff_factor < 1.0):
             raise ContractError("loss scaler configured outside its domain")
 
 

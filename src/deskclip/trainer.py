@@ -80,7 +80,7 @@ class TrainConfig:
         values = {}
         for key, path, kind, required in _FLAT_KEYS:
             if key in flat:
-                values[path] = _coerce(key, kind, flat.pop(key))
+                values[path] = coerce(kind, flat.pop(key), f"config key {key}")
             elif required:
                 raise InputError(f"config key {key} is required")
         if flat:
@@ -120,18 +120,19 @@ _FLAT_KEYS = [(_LEGACY_KEYS.get(".".join(p), "_".join(p[-2:])), p, t, required)
 _GETTERS = [(key, attrgetter(".".join(p))) for key, p, _, _ in _FLAT_KEYS]
 
 
-def _coerce(key: str, kind: type, value):
+def coerce(kind: type, value, what: str):
+    """``value`` as a ``kind``; raises ``InputError`` naming ``what`` if it is none."""
     if kind is bool:
         if isinstance(value, bool):
             return value
         word = str(value).lower()
         if word not in _TRUE + _FALSE:
-            raise InputError(f"config key {key}: {value!r} is not a boolean (true/false, yes/no, 1/0)")
+            raise InputError(f"{what}: {value!r} is not a boolean (true/false, yes/no, 1/0)")
         return word in _TRUE
     try:
         return kind(value)
     except (TypeError, ValueError):
-        raise InputError(f"config key {key}: {value!r} is not a valid {kind.__name__}") from None
+        raise InputError(f"{what}: {value!r} is not a valid {kind.__name__}") from None
 
 
 def _build(path: tuple[str, ...], values: dict):
@@ -376,9 +377,10 @@ class Trainer:
     def resume(self, ckpt: Checkpoint) -> None:
         """Restore params, optimizer state, rng, and counters for bit-exact continuation.
 
-        Every entry read here, every tensor's shape and every optimizer array's
-        size are checked before anything is restored, so a rejected checkpoint
-        leaves the trainer as it was.
+        Every entry read here, every tensor's shape, every optimizer array's
+        size and every counter, step count, scaler and rng state are checked
+        before anything is restored, so a rejected checkpoint leaves the
+        trainer as it was.
         """
         opt_sizes = {name: arr.size for name, arr in self.opt.state_arrays().items()}
         for what, table, names in (("tensor", ckpt.tensors, self.model.params),
@@ -395,15 +397,33 @@ class Trainer:
             if ckpt.optimizer[name].size != want:
                 raise DimensionError(f"optimizer array {name!r}: checkpoint has "
                                      f"{ckpt.optimizer[name].size} values, resume needs {want}")
+        for name in (n for n in opt_sizes if n.startswith("t/")):
+            t = float(ckpt.optimizer[name].flat[0])
+            if not (math.isfinite(t) and t >= 0 and t == int(t)):
+                raise InputError(f"optimizer array {name!r}: {t} is not a step count")
+        meta = ckpt.metadata
+        for key in ("step", "attempted", "samples_seen"):
+            if type(meta[key]) is not int or meta[key] < 0:
+                raise InputError(f"metadata key {key!r}: {meta[key]!r} is not a non-negative integer")
+        try:
+            scaler = LossScalerState(**meta["scaler"])
+        except (TypeError, ContractError):
+            raise InputError(f"metadata key 'scaler': {meta['scaler']!r} is not a loss scaler "
+                             f"state") from None
+        rng = np.random.default_rng(0)
+        try:
+            rng.bit_generator.state = meta["rng_state"]
+        except (TypeError, ValueError, KeyError, OverflowError):
+            raise InputError(f"metadata key 'rng_state': {meta['rng_state']!r} is not a "
+                             f"{type(rng.bit_generator).__name__} state") from None
         for name, param in self.model.params.items():
             param.data = ckpt.tensors[name].astype(np.float32)
         self.opt.load_state_arrays(ckpt.optimizer)
-        meta = ckpt.metadata
-        self.schedule_step = int(meta["step"])
-        self.attempted = int(meta["attempted"])
-        self.samples_seen = int(meta["samples_seen"])
-        self.rng_step.bit_generator.state = meta["rng_state"]
-        self.scaler = LossScalerState(**meta["scaler"])
+        self.schedule_step = meta["step"]
+        self.attempted = meta["attempted"]
+        self.samples_seen = meta["samples_seen"]
+        self.rng_step = rng
+        self.scaler = scaler
 
 
 # -- benchmarking -------------------------------------------------------------------

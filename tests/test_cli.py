@@ -256,6 +256,23 @@ class TestEndToEnd:
         assert not (tmp_path / "runs").exists()
 
 
+class TestBench:
+    def test_bench_reports_both_arms(self, workspace, tmp_path, capsys):
+        code = run(["--run-root", str(tmp_path / "runs"), "bench",
+                    "--config", str(workspace / "train.cfg"), "--steps", "2"])
+        assert code == 0
+        out = capsys.readouterr().out
+        (run_dir,) = runs_under(tmp_path)
+        report = json.loads((run_dir / "bench.json").read_text())
+        for label in ("unmasked", "masked"):
+            row = report[label]
+            assert row["q1_step_seconds"] <= row["median_step_seconds"] <= row["q3_step_seconds"]
+            assert f"{label:>9}: median step {row['median_step_seconds']:.4f}s " \
+                   f"(IQR {row['iqr_step_seconds']:.4f}s)" in out
+        assert report["step_time_ratio"] > 0
+        assert f"report dir: {run_dir}" in out
+
+
 @pytest.fixture(scope="module")
 def trained(workspace):
     """A two-step checkpoint of the workspace config."""
@@ -271,7 +288,12 @@ class TestRejectedInputs:
         ('{"samples_per_class": 2}', "corpus spec key 'num_classes' is required"),
         ('{"num_classes": 8,', "corpus spec is not JSON"),
         ('[8, 2]', "must be a JSON object"),
-    ], ids=["unknown-key", "missing-key", "not-json", "not-object"])
+        ('{"num_classes": "8", "samples_per_class": 2}', "corpus spec key 'num_classes': '8'"),
+        ('{"num_classes": 8, "samples_per_class": 2.5}', "corpus spec key 'samples_per_class': 2.5"),
+        ('{"num_classes": 8, "samples_per_class": 2, "caption_templates": "a {}"}',
+         "corpus spec key 'caption_templates': 'a {}'"),
+    ], ids=["unknown-key", "missing-key", "not-json", "not-object", "string-count", "fractional-count",
+            "templates-not-a-list"])
     def test_bad_corpus_spec_names_file_and_key(self, tmp_path, capsys, text, match):
         (tmp_path / "spec.json").write_text(text)
         code = run(["gen-data", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "data")])

@@ -151,6 +151,29 @@ class TestCorpusGeneration:
         with pytest.raises(FormatError, match=rf"manifest\.json: manifest has no key '{key}'"):
             load_corpus(manifest)
 
+    @pytest.mark.parametrize("key, value, kind", [
+        ("image_size", "32", "a positive integer"), ("channels", 0, "a positive integer"),
+        ("channels", 2.5, "a positive integer"), ("class_names", "abc", "a list")])
+    def test_manifest_value_of_the_wrong_type_names_its_key(self, tmp_path, key, value, kind):
+        manifest = generate_corpus(small_spec(), tmp_path)
+        fields = json.loads(manifest.read_text())
+        fields[key] = value
+        manifest.write_text(json.dumps(fields))
+        with pytest.raises(FormatError, match=rf"manifest\.json: manifest key '{key}' must be {kind}"):
+            load_corpus(manifest)
+
+    def test_class_id_past_the_class_count_names_its_offset(self, tmp_path):
+        manifest = generate_corpus(small_spec(num_classes=4), tmp_path)
+        shard = tmp_path / "eval-000.shard"
+        blob = bytearray(shard.read_bytes())
+        first_record = 4 + 4 + 8  # magic, version, record count
+        assert blob[first_record] == 0  # class 0
+        blob[first_record] ^= 1 << 6  # class 64
+        shard.write_bytes(bytes(blob))
+        with pytest.raises(CorruptionError, match="class id 64") as err:
+            load_corpus(manifest)
+        assert err.value.offset == first_record
+
     def test_manifest_not_json_names_file(self, tmp_path):
         manifest = generate_corpus(small_spec(), tmp_path)
         manifest.write_text("{version: 1")

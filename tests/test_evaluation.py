@@ -3,10 +3,12 @@ import re
 import numpy as np
 import pytest
 
+from deskclip.data import CorpusSpec, generate_corpus, load_corpus
 from deskclip.errors import DimensionError, InputError
 from deskclip.evaluation import (
     build_class_embeddings,
     center_frame,
+    evaluate,
     load_robustness_fixtures,
     make_text_encoder,
     mean_top1_top5,
@@ -260,3 +262,11 @@ class TestSmallMetrics:
         assert center_frame(list("abcd")) == "c"  # floor(4/2) = index 2
         with pytest.raises(InputError):
             center_frame([])
+
+
+def test_evaluate_rejects_a_held_out_label_without_a_class_name(tmp_path):
+    spec = CorpusSpec(num_classes=4, samples_per_class=4, image_size=16, seed=0)
+    corpus = load_corpus(generate_corpus(spec, tmp_path))
+    model = ClipModel.init(preset("tiny"), 0)
+    with pytest.raises(InputError, match="held-out label 2 has no class name"):
+        evaluate(model, corpus, class_names=corpus.class_names[:2])

@@ -281,23 +281,37 @@ class TestCheckpointing:
         for name, p in straight.model.params.items():
             np.testing.assert_array_equal(p.data, resumed.model.params[name].data)
 
-    def test_wrong_sized_optimizer_array_rejected_before_anything_is_restored(self, corpus, tmp_path):
+    @pytest.mark.parametrize("table, entry, value, error, match", [
+        ("optimizer", "m/text.proj", np.zeros(7), DimensionError, "'m/text.proj'.*7 values"),
+        ("optimizer", "t/text.proj", np.array([np.nan]), InputError, "'t/text.proj'.*step count"),
+        ("optimizer", "t/text.proj", np.array([1.5]), InputError, "'t/text.proj'.*step count"),
+        ("metadata", "step", "x", InputError, "'step'.*non-negative integer"),
+        ("metadata", "samples_seen", -1, InputError, "'samples_seen'.*non-negative integer"),
+        ("metadata", "scaler", {"scale": -1.0}, InputError, "'scaler'"),
+        ("metadata", "scaler", {"scale": float("nan")}, InputError, "'scaler'"),
+        ("metadata", "rng_state", {"bit_generator": "PCG64"}, InputError, "'rng_state'"),
+    ], ids=["wrong-size", "nan-t", "fractional-t", "text-step", "negative-samples", "bad-scaler",
+            "nan-scale", "bad-rng-state"])
+    def test_bad_entry_rejected_before_restoring(self, corpus, tmp_path, table, entry, value,
+                                                 error, match):
         source = Trainer(tiny_cfg(total_steps=6, warmup_steps=2), corpus)
         for _ in range(2):
             source.train_step(source.stream.batch_at(source.attempted, 4))
         ckpt = load_checkpoint(source.save(tmp_path / "src.bin"))
-        ckpt.optimizer["m/text.proj"] = np.zeros(7)
+        getattr(ckpt, table)[entry] = value
 
         target = Trainer(tiny_cfg(total_steps=6, warmup_steps=2), corpus)
         params = {n: p.data.copy() for n, p in target.model.params.items()}
         state = {n: a.copy() for n, a in target.opt.state_arrays().items()}
-        with pytest.raises(DimensionError, match="'m/text.proj'.*7 values"):
+        rng_state, scaler = target.rng_step.bit_generator.state, target.scaler
+        with pytest.raises(error, match=match):
             target.resume(ckpt)
         for name, data in params.items():
             np.testing.assert_array_equal(target.model.params[name].data, data, err_msg=name)
         for name, arr in target.opt.state_arrays().items():
             np.testing.assert_array_equal(arr, state[name], err_msg=name)
-        assert target.schedule_step == 0 and target.attempted == 0
+        assert (target.schedule_step, target.attempted, target.samples_seen) == (0, 0, 0)
+        assert target.rng_step.bit_generator.state == rng_state and target.scaler is scaler
 
     def test_step_log_parseable_without_library(self, corpus, tmp_path):
         cfg = tiny_cfg(total_steps=5, warmup_steps=1)
