@@ -50,8 +50,8 @@ def _write_table(f, arrays: dict[str, np.ndarray]) -> list[str]:
 
 
 def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
-    tensors = {k: np.ascontiguousarray(v, dtype=np.float32) for k, v in ckpt.tensors.items()}
-    optim = {k: np.ascontiguousarray(v, dtype=np.float64) for k, v in ckpt.optimizer.items()}
+    tensors = {k: np.asarray(v, dtype=np.float32) for k, v in ckpt.tensors.items()}
+    optim = {k: np.asarray(v, dtype=np.float64) for k, v in ckpt.optimizer.items()}
     meta = json.dumps(ckpt.metadata, sort_keys=True).encode("utf-8")
     with open(path, "wb") as f:
         write_header(f, MAGIC, VERSION)

@@ -225,6 +225,9 @@ def load_corpus(manifest_path: str | Path) -> Corpus:
                               f"got {manifest[key]!r}")
     if not isinstance(manifest["class_names"], list):
         raise FormatError(f"{manifest_path}: manifest key 'class_names' must be a list")
+    for key in ("train_shards", "eval_shards"):
+        if not isinstance(manifest[key], list) or not all(isinstance(n, str) for n in manifest[key]):
+            raise FormatError(f"{manifest_path}: manifest key {key!r} must be a list of file names")
     shape = (manifest["channels"], manifest["image_size"], manifest["image_size"])
     base = manifest_path.parent
 
@@ -286,20 +289,20 @@ class BatchStream:
         self.records = records
         self.seed = seed
         self.token_ids = np.stack([tokenize(r.caption, tokenizer) for r in records])
-        self._perms: dict[int, np.ndarray] = {}
+        self._perms: dict[int, np.ndarray] = {}  # only the epochs the latest batch spans
 
-    def _perm(self, epoch: int) -> np.ndarray:
-        if epoch not in self._perms:
-            rng = np.random.default_rng(np.random.SeedSequence([self.seed, epoch]))
-            self._perms[epoch] = rng.permutation(len(self.records))
-        return self._perms[epoch]
+    def _permutation(self, epoch: int) -> np.ndarray:
+        rng = np.random.default_rng(np.random.SeedSequence([self.seed, epoch]))
+        return rng.permutation(len(self.records))
 
     def indices_at(self, position: int, batch_size: int) -> np.ndarray:
         n = len(self.records)
+        epochs = range(position // n, (position + batch_size - 1) // n + 1)
+        self._perms = {e: self._perms[e] if e in self._perms else self._permutation(e) for e in epochs}
         out = np.empty(batch_size, dtype=np.int64)
         for i in range(batch_size):
             g = position + i
-            out[i] = self._perm(g // n)[g % n]
+            out[i] = self._perms[g // n][g % n]
         return out
 
     def batch_at(self, step: int, batch_size: int) -> Batch:

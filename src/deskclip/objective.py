@@ -33,11 +33,10 @@ def clip_loss(logits: Tensor) -> Tensor:
     """Mean of row-wise and column-wise cross-entropy against the diagonal."""
     if logits.ndim != 2 or logits.shape[0] != logits.shape[1]:
         raise DimensionError(f"logits must be square, got {logits.shape}")
-    b = logits.shape[0]
-    eye = Tensor(np.eye(b, dtype=np.float32))
-    rows = T.tsum(T.mul(T.log_softmax_rows(logits), eye))
-    cols = T.tsum(T.mul(T.log_softmax_rows(T.transpose(logits, (1, 0))), eye))
-    return T.mul(T.add(rows, cols), Tensor(np.array(-0.5 / b, dtype=np.float32)))
+    labels = np.arange(logits.shape[0])
+    rows = T.cross_entropy(logits, labels)
+    cols = T.cross_entropy(T.transpose(logits, (1, 0)), labels)
+    return T.mul(T.add(rows, cols), Tensor(np.array(0.5, dtype=np.float32)))
 
 
 def clamp_scale(log_scale: Tensor) -> None:

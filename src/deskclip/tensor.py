@@ -4,17 +4,20 @@ Storage is 32-bit by default, and every op computes in its tensors' storage
 dtype: float32 matrix products run as sgemm, and elementwise work (GELU and
 its rational ``erf``, LayerNorm, softmax) stays in float32. Only row and
 column statistics accumulate in 64-bit before a single cast back: sums and
-means, LayerNorm moments, softmax denominators and the LayerNorm gain/bias
-gradient sums. Tensors may also be created as float64, in which case ops stay
-in float64 end to end (GELU through ``scipy.special.erf``); the
+means, LayerNorm moments, softmax denominators, row norms and the LayerNorm
+gain/bias gradient sums. Tensors may also be created as float64, in which
+case ops stay in float64 end to end (GELU through ``scipy.special.erf``); the
 finite-difference oracle uses this mode. An op whose inputs mix the two
 dtypes computes in float64.
 
-A linear layer is one node (one 2-D product, bias added in place), and GELU
-runs in one chunked pass that allocates only its output and, when backward
-will run, the erf values it reuses. An op writes only into arrays it
-allocated itself, never into an incoming gradient (``add`` hands the same one
-to both inputs) or an input's data.
+A linear layer is one node (one 2-D product, bias added in place), and so
+are the contrastive head's ops: ``l2_normalize_rows`` (squares summed in
+64-bit, ``sqrt``, divide) and ``cross_entropy`` (the mean negative
+log-softmax at integer targets, whose backward is ``(softmax - onehot) * g /
+rows``). GELU runs in one chunked pass that allocates only its output and,
+when backward will run, the erf values it reuses. An op writes only into
+arrays it allocated itself, never into an incoming gradient (``add`` hands
+the same one to both inputs) or an input's data.
 
 The graph is a tape of closures: each op attaches the producing inputs and a
 backward rule to its output. Every tensor carries a creation number, and an
@@ -170,10 +173,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), backward)
 
 
-def neg(a: Tensor) -> Tensor:
-    return _make(-a.data, (a,), lambda g: (-g,))
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     dt = _result_dtype(a, b)
     data = (a.data * b.data).astype(dt, copy=False)
@@ -186,28 +185,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), backward)
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    dt = _result_dtype(a, b)
-    data = (a.data / b.data).astype(dt, copy=False)
-
-    def backward(g):
-        ga = _unbroadcast((g / b.data).astype(dt, copy=False), a.shape) if a.requires_grad else None
-        gb = None
-        if b.requires_grad:
-            gb = _unbroadcast((-g * a.data / (b.data * b.data)).astype(dt, copy=False), b.shape)
-        return ga, gb
-
-    return _make(data, (a, b), backward)
-
-
 def exp(a: Tensor) -> Tensor:
     data = np.exp(a.data)
     return _make(data, (a,), lambda g: ((g * data).astype(data.dtype, copy=False),))
-
-
-def sqrt(a: Tensor) -> Tensor:
-    data = np.sqrt(a.data)
-    return _make(data, (a,), lambda g: ((g * 0.5 / data).astype(data.dtype, copy=False),))
 
 
 # Rational minimax erf for float32 (Eigen's ``generic_fast_erf_float``):
@@ -450,14 +430,6 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        count = a.size
-    else:
-        count = a.shape[axis] if isinstance(axis, int) else int(np.prod([a.shape[i] for i in axis]))
-    return mul(tsum(a, axis=axis, keepdims=keepdims), _as_tensor(1.0 / count, a))
-
-
 # -- normalization / softmax ---------------------------------------------------
 
 
@@ -520,22 +492,42 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _make(s, (x,), backward)
 
 
-def log_softmax_rows(x: Tensor) -> Tensor:
-    dt = x.data.dtype
-    ls = x.data - x.data.max(axis=-1, keepdims=True)
+def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
+    """Mean over rows of ``-log softmax(logits)[i, targets[i]]`` as one node;
+    its backward is ``(softmax - onehot) * g / rows``."""
+    targets = np.asarray(targets)
+    if logits.ndim != 2 or targets.shape != logits.shape[:1]:
+        raise DimensionError(f"cross_entropy: logits {logits.shape} vs targets {targets.shape}")
+    dt = logits.data.dtype
+    rows = np.arange(len(targets))
+    ls = logits.data - logits.data.max(axis=-1, keepdims=True)
     ls -= np.log(_row_sum(np.exp(ls), dt))
+    data = np.asarray(-ls[rows, targets].sum(dtype=np.float64) / len(targets)).astype(dt)
 
     def backward(g):
-        g = g.astype(dt, copy=False)
-        return (g - np.exp(ls) * _row_sum(g, dt),)
+        d = np.exp(ls)
+        d[rows, targets] -= 1.0
+        d *= g
+        d /= len(targets)
+        return (d,)
 
-    return _make(ls, (x,), backward)
+    return _make(data, (logits,), backward)
 
 
 def l2_normalize_rows(x: Tensor) -> Tensor:
-    """Scale each last-axis row to unit Euclidean norm."""
-    norm = sqrt(tsum(mul(x, x), axis=-1, keepdims=True))
-    return div(x, norm)
+    """Scale each last-axis row to unit Euclidean norm (the sum of squares
+    accumulates in float64); the backward is ``(g - y * sum(g * y)) / norm``."""
+    dt = x.data.dtype
+    norm = np.sqrt(_row_sum(x.data * x.data, dt))
+    y = x.data / norm
+
+    def backward(g):
+        g = g.astype(dt, copy=False)
+        d = g - y * _row_sum(g * y, dt)
+        d /= norm
+        return (d,)
+
+    return _make(y, (x,), backward)
 
 
 # -- backward pass -------------------------------------------------------------

@@ -16,7 +16,7 @@ HEADER_BITS = 8 * 8  # 4-byte magic + u32 version
 SETTINGS = settings(max_examples=25, deadline=None, database=None,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
 
-shapes = st.lists(st.integers(0, 3), min_size=1, max_size=3).map(tuple)  # zero-size dims included
+shapes = st.lists(st.integers(0, 3), min_size=0, max_size=3).map(tuple)  # 0-d and zero-size dims included
 
 
 def tables(dtype):

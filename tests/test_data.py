@@ -153,7 +153,9 @@ class TestCorpusGeneration:
 
     @pytest.mark.parametrize("key, value, kind", [
         ("image_size", "32", "a positive integer"), ("channels", 0, "a positive integer"),
-        ("channels", 2.5, "a positive integer"), ("class_names", "abc", "a list")])
+        ("channels", 2.5, "a positive integer"), ("class_names", "abc", "a list"),
+        ("train_shards", "train-000.shard", "a list of file names"),
+        ("eval_shards", ["eval-000.shard", 3], "a list of file names")])
     def test_manifest_value_of_the_wrong_type_names_its_key(self, tmp_path, key, value, kind):
         manifest = generate_corpus(small_spec(), tmp_path)
         fields = json.loads(manifest.read_text())
@@ -244,6 +246,18 @@ class TestBatchStream:
         two_epochs = np.concatenate([stream.indices_at(p, 4) for p in range(0, 20, 4)])
         np.testing.assert_array_equal(np.sort(two_epochs[:10]), np.arange(10))
         np.testing.assert_array_equal(np.sort(two_epochs[10:]), np.arange(10))
+
+    def test_walk_over_six_epochs_holds_only_the_spanned_permutations(self):
+        n, b, seed = 10, 4, 11
+        stream = self.make_stream(n=n, seed=seed)
+        walked, held = [], []
+        for step in range(15):  # 60 positions: six epochs
+            walked.append(stream.indices_at(step * b, b))
+            held.append(len(stream._perms))
+        want = np.concatenate([
+            np.random.default_rng(np.random.SeedSequence([seed, e])).permutation(n) for e in range(6)])
+        np.testing.assert_array_equal(np.concatenate(walked), want)
+        assert max(held) == 2  # a batch spans at most two epochs here
 
     def test_fixed_seed_reproducible_across_instances(self):
         a = self.make_stream(seed=5).indices_at(13, 7)

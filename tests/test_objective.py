@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from deskclip import tensor as T
 from deskclip.encoders import EmbeddingOutput
@@ -86,6 +87,29 @@ class TestClipLoss:
         a = clip_loss(Tensor(logits)).item()
         b = clip_loss(Tensor(logits + 11.5)).item()
         assert a == pytest.approx(b, abs=1e-5)
+
+    def test_matches_a_float64_logsumexp_formula(self):
+        rng = np.random.default_rng(7)
+        for b, spread in ((2, 1.0), (8, 3.0), (64, 3.0), (64, math.exp(LOG_SCALE_INIT))):
+            logits = (rng.standard_normal((b, b)) * spread).astype(np.float32)
+            x = logits.astype(np.float64)
+            diag = np.diag(x)
+            want = 0.5 * (np.mean(logsumexp(x, axis=1) - diag) + np.mean(logsumexp(x, axis=0) - diag))
+            assert clip_loss(Tensor(logits)).item() == pytest.approx(want, rel=1e-6)
+
+    def test_logits_and_loss_record_nine_nodes(self):
+        rng = np.random.default_rng(10)
+        img, txt = (EmbeddingOutput(Tensor(unit_rows(rng, 8, 6), requires_grad=True)) for _ in range(2))
+        loss = clip_loss(similarity_logits(img, txt, scale_of(requires_grad=True)))
+        recorded, stack = set(), [loss]
+        while stack:
+            node = stack.pop()
+            if node._backward is not None and id(node) not in recorded:
+                recorded.add(id(node))
+                stack.extend(node._parents)
+        # exp, transpose, matmul and mul for the logits; two cross-entropies,
+        # a transpose, an add and a mul for the loss
+        assert len(recorded) == 9
 
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):
