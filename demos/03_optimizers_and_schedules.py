@@ -28,7 +28,7 @@ for kind in ("lamb", "adamw"):
     sched = Schedule(warmup_steps=100, total_steps=4000, shape="cosine")
     for step in range(4000):
         p.grad = (a @ (p.data.astype(np.float64) - w_star)).astype(np.float32)
-        opt.step({"all": lr_at(sched, 0.05, step)})
+        opt.step({"all": lr_at(sched, 0.05, step)}, grad_scale=1.0)
         p.grad = None
     dist = np.linalg.norm(p.data.astype(np.float64) - w_star)
     print(f"{kind:5s}: |w - w*| = {dist:.2e} after 4000 cosine-decayed steps")

@@ -1,9 +1,13 @@
 """Framing shared by checkpoints and shards: a 4-byte magic, a little-endian u32
-version, then fields read front to back by a bounds-checked ``Reader``."""
+version, then fields read front to back by a bounds-checked ``Reader``. Both
+are written through ``atomic_writer``, so a failed write never leaves a torn
+file under the final name."""
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -12,8 +16,22 @@ import numpy as np
 from .errors import CorruptionError, FormatError
 
 
-def write_header(f, magic: bytes, version: int) -> None:
-    f.write(magic + struct.pack("<I", version))
+@contextlib.contextmanager
+def atomic_writer(path: str | Path, magic: bytes, version: int):
+    """Yield a temp file beside ``path`` with the header written. A clean exit
+    ``os.replace``s ``path`` with it; an error removes it and leaves ``path`` as
+    it was. There is no fsync: this guards against a writer failing mid-file,
+    not against power loss."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(magic + struct.pack("<I", version))
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class Reader:

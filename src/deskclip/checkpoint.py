@@ -7,7 +7,8 @@ u8 dtype code, u8 ndim, u32 dims...] rows, then all payloads in table order.
 Names are written sorted, so save -> load -> save is byte-identical. The
 magic/version framing and every bounds check come from ``binfile.Reader``,
 which shards share: a truncated or malformed file raises ``CorruptionError``
-with a byte offset, a wrong magic or version ``FormatError``.
+with a byte offset, a wrong magic or version ``FormatError``. A checkpoint is
+written to a temp file that replaces ``path`` only once it is complete.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .binfile import Reader, write_header
+from .binfile import Reader, atomic_writer
 from .errors import CorruptionError
 
 MAGIC = b"CFCK"
@@ -53,8 +54,7 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
     tensors = {k: np.asarray(v, dtype=np.float32) for k, v in ckpt.tensors.items()}
     optim = {k: np.asarray(v, dtype=np.float64) for k, v in ckpt.optimizer.items()}
     meta = json.dumps(ckpt.metadata, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        write_header(f, MAGIC, VERSION)
+    with atomic_writer(path, MAGIC, VERSION) as f:
         f.write(struct.pack("<Q", len(meta)))
         f.write(meta)
         model_names = _write_table(f, tensors)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .binfile import Reader, write_header
+from .binfile import Reader, atomic_writer
 from .errors import ContractError, CorruptionError, FormatError, InputError
 from .resample import bilinear_resize
 
@@ -79,8 +79,7 @@ class ShardRecord:
 
 
 def write_shard(records: list[ShardRecord], path: str | Path) -> None:
-    with open(path, "wb") as f:
-        write_header(f, SHARD_MAGIC, SHARD_VERSION)
+    with atomic_writer(path, SHARD_MAGIC, SHARD_VERSION) as f:
         f.write(struct.pack("<Q", len(records)))
         for r in records:
             img = np.ascontiguousarray(r.image, dtype=np.uint8).tobytes()

@@ -90,7 +90,7 @@ class MaskSpec:
 
     def __post_init__(self):
         if not 0.0 <= self.ratio < 1.0:
-            raise ContractError(f"mask ratio must be in [0, 1), got {self.ratio}")
+            raise ContractError(f"mask_ratio must be in [0, 1), got {self.ratio}")
 
     def kept_count(self, n_tokens: int) -> int:
         return max(1, math.ceil((1.0 - self.ratio) * n_tokens))

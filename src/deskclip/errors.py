@@ -34,4 +34,4 @@ class RangeError(DeskclipError):
 
 
 class DivergenceError(DeskclipError):
-    """Training diverged (loss scale at floor or non-finite loss)."""
+    """Training diverged: the dynamic loss scale fell below its floor."""

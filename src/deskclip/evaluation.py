@@ -254,8 +254,7 @@ def evaluate(model: ClipModel, corpus: Corpus,
         "heldout": images,
         "heldout-noise": np.clip(
             images + rng.normal(0.0, 0.25, size=images.shape), -1.0, 1.0).astype(np.float32),
-        "heldout-crop": np.stack([
-            random_resized_crop(img, (0.5, 0.7), rng) for img in images]).astype(np.float32),
+        "heldout-crop": np.stack([random_resized_crop(img, (0.5, 0.7), rng) for img in images]),
     }
     embeddings = {name: _encode_images(model, imgs) for name, imgs in variants.items()}
     benchmarks = {}

@@ -2,9 +2,10 @@
 
 Moments and a master copy of each parameter are kept in float64; the float32
 tensors are refreshed from the master after every applied step. Optimizer.step
-skips the whole update if any gradient is non-finite. Masters sync only where
-tensors are written from outside: ``Optimizer.adopt`` after the logit-scale
-clamp, and the end of ``load_state_arrays`` on resume.
+is the only reader of gradients: it divides each by the loss scale out of
+place, in float32, and skips the whole update if any quotient is non-finite.
+Masters sync only where tensors are written from outside: ``Optimizer.adopt``
+after the logit-scale clamp, and the end of ``load_state_arrays`` on resume.
 """
 
 from __future__ import annotations
@@ -58,9 +59,9 @@ class Schedule:
 
     def __post_init__(self):
         if self.warmup_steps > self.total_steps:
-            raise ContractError(f"warmup {self.warmup_steps} exceeds total {self.total_steps}")
+            raise ContractError(f"warmup_steps {self.warmup_steps} exceeds total_steps {self.total_steps}")
         if self.shape not in ("cosine", "linear"):
-            raise ContractError(f"unknown schedule shape {self.shape!r}")
+            raise ContractError(f"schedule_shape must be cosine or linear, got {self.shape!r}")
 
 
 def lr_at(schedule: Schedule, peak: float, step: int) -> float:
@@ -168,18 +169,19 @@ class Optimizer:
         self.state = {name: MomentState.fresh(p) for name, p in params.items()}
         self.last_effective_lrs: dict[str, float] = {}
 
-    def step(self, group_lrs: dict[str, float]) -> bool:
-        """Apply one update given lr_at() values per group; if any gradient is
-        non-finite, touch nothing and return False (the step's overflow verdict)."""
-        for p in self.params.values():
-            if p.grad is not None and not np.isfinite(p.grad).all():
-                return False
+    def step(self, group_lrs: dict[str, float], grad_scale: float) -> bool:
+        """Apply one update given lr_at() values per group from each gradient
+        divided by the loss scale, out of place; if any quotient is non-finite,
+        touch nothing and return False (the step's overflow verdict)."""
+        inv = np.float32(1.0 / grad_scale)  # scales are powers of two; inf stays inf
+        grads = {name: p.grad * inv for name, p in self.params.items() if p.grad is not None}
+        if not all(np.isfinite(g).all() for g in grads.values()):
+            return False
         self.last_effective_lrs = {}
         for group in self.groups:
             for name in group.member_names:
                 param = self.params[name]
-                grad64 = (param.grad.astype(np.float64) if param.grad is not None
-                          else np.zeros(param.shape))
+                grad64 = grads[name].astype(np.float64) if name in grads else np.zeros(param.shape)
                 lr = group_lrs[group.name] * group.lr_scales.get(name, 1.0)
                 _update(self.cfg.kind, param, grad64, self.state[name], self.cfg, lr,
                         apply_decay=not default_decay_exempt(name))
@@ -229,7 +231,9 @@ class LossScalerState:
 
 
 def scaler_update(state: LossScalerState, overflow: bool) -> bool:
-    """Advance the scaler state machine; True when the step counts as effective."""
+    """Advance the scaler state machine; True when the step counts as effective.
+    Falling below the floor is the one divergence rule (a non-finite loss
+    brings non-finite gradients, so it overflows every step until then)."""
     if overflow:
         state.scale *= state.backoff_factor
         state.good_steps = 0

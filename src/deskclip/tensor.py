@@ -25,7 +25,8 @@ op's output is always newer than its inputs. ``backward`` walks the reachable
 subgraph once, newest node first, so a node is visited after every consumer
 has passed it its gradient. It accumulates gradients additively on the leaves
 (tensors that require gradients but were not produced by an op); intermediate
-tensors keep ``grad`` as ``None``.
+tensors keep ``grad`` as ``None``. A leaf's first gradient is stored as
+received, with no copy: nothing writes into a gradient array.
 
 A graph is walked once: ``backward`` drops each node's inputs and rule as
 soon as the rule has run, freeing the arrays the forward saved as it goes, and
@@ -538,7 +539,8 @@ def backward(root: Tensor) -> None:
 
     Leaves are tensors without a backward rule (parameters and inputs);
     gradients flowing through intermediate tensors are consumed and dropped,
-    so their ``grad`` stays ``None``. The walk consumes the graph as it goes;
+    so their ``grad`` stays ``None``. A leaf keeps its first gradient as
+    received, with no copy. The walk consumes the graph as it goes;
     reaching a consumed node raises ``ContractError``.
     """
     if root.size != 1:
@@ -555,7 +557,7 @@ def backward(root: Tensor) -> None:
         if node._parents is None:
             raise ContractError(f"{node!r} was consumed by an earlier backward; a graph is walked once")
         if node._backward is None:
-            node.grad = g.copy() if node.grad is None else node.grad + g
+            node.grad = g if node.grad is None else node.grad + g
             continue
         parents, grads = node._parents, node._backward(g)
         node._parents = node._backward = None  # frees what the rule saved from the forward

@@ -64,8 +64,17 @@ class TrainConfig:
     data_manifest: str = ""
 
     def __post_init__(self):
+        # every value a run would reject later is rejected here, before a run directory exists
         if self.init_policy not in INIT_POLICIES:
             raise ContractError(f"init_policy must be one of {INIT_POLICIES}, got {self.init_policy!r}")
+        if self.batch_size < 1:
+            raise ContractError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not 0.0 < self.crop_scale_lo <= self.crop_scale_hi <= 1.0:
+            raise ContractError(f"need 0 < crop_scale_lo <= crop_scale_hi <= 1, "
+                                f"got {self.crop_scale_lo}, {self.crop_scale_hi}")
+        # Schedule checks warmup_steps, total_steps and schedule_shape; MaskSpec mask_ratio
+        self.schedule
+        MaskSpec(self.mask_ratio)
 
     @property
     def schedule(self) -> Schedule:
@@ -277,7 +286,7 @@ class Trainer:
             images = np.stack([
                 random_resized_crop(img, (cfg.crop_scale_lo, cfg.crop_scale_hi), self.rng_step)
                 for img in images
-            ]).astype(np.float32)
+            ])
         mask = MaskSpec(cfg.mask_ratio) if cfg.mask_ratio > 0 else None
         patches = cfg.model.image.n_patches
         image_tokens = 1 + (mask.kept_count(patches) if mask is not None else patches)
@@ -287,14 +296,9 @@ class Trainer:
         loss_value = loss.item()
 
         T.backward(T.mul(loss, Tensor(np.float32(self.scaler.scale))))
-        params = self.opt.params
-        inv = np.float32(1.0 / self.scaler.scale)  # scale is a power of two; inf stays inf
-        for p in params.values():
-            if p.grad is not None:
-                p.grad *= inv
         group_lrs = {g.name: lr_at(cfg.schedule, g.peak_lr, self.schedule_step)
                      for g in self.opt.groups}
-        overflow = not self.opt.step(group_lrs)
+        overflow = not self.opt.step(group_lrs, self.scaler.scale)
         if not overflow:
             clamp_scale(self.model.logit_scale)
             self.opt.adopt("logit_scale")
@@ -307,11 +311,7 @@ class Trainer:
         if not overflow:
             self.samples_seen += batch.images.shape[0]
             self.schedule_step += 1
-        if not math.isfinite(loss_value) and self.scaler.scale <= 2.0**-18:
-            err = DivergenceError(f"loss {loss_value} with scale at {self.scaler.scale}")
-            err.records = self.records[-10:]
-            raise err
-        T.zero_grads(params.values())
+        T.zero_grads(self.opt.params.values())
         self.attempted += 1
         wall_time = time.perf_counter() - t0
         record = StepRecord(

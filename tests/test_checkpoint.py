@@ -3,7 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from deskclip import checkpoint as checkpoint_module
+from deskclip.binfile import atomic_writer
 from deskclip.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from deskclip.data import ShardRecord, read_shard, write_shard
 from deskclip.errors import CorruptionError, FormatError
 
 META = {"step": 3}
@@ -70,3 +73,56 @@ def test_every_bit_flip_loads_or_raises_a_format_error(tmp_path, blob):
             assert err.offset is not None, bit
         except FormatError:
             pass  # magic or version
+
+
+# -- atomic writes ------------------------------------------------------------------
+
+
+def test_atomic_writer_replaces_only_on_a_clean_exit(tmp_path):
+    path = tmp_path / "f.bin"
+    path.write_bytes(b"old")
+    with pytest.raises(RuntimeError):
+        with atomic_writer(path, b"TEST", 1) as f:
+            f.write(b"partial")
+            raise RuntimeError("writer failed")
+    assert path.read_bytes() == b"old"
+    assert [p.name for p in tmp_path.iterdir()] == ["f.bin"]
+    with atomic_writer(path, b"TEST", 1) as f:
+        f.write(b"new")
+    assert path.read_bytes() == b"TEST\x01\x00\x00\x00new"
+    assert [p.name for p in tmp_path.iterdir()] == ["f.bin"]
+
+
+def test_checkpoint_write_failing_midway_keeps_the_old_file(tmp_path, blob, monkeypatch):
+    path = tmp_path / "c.bin"
+    real_write_table, calls = checkpoint_module._write_table, []
+
+    def write_table(f, arrays):  # the model table is written, then the writer dies
+        calls.append(1)
+        if len(calls) == 2:
+            raise OSError("disk went away")
+        return real_write_table(f, arrays)
+
+    monkeypatch.setattr(checkpoint_module, "_write_table", write_table)
+    with pytest.raises(OSError):
+        save_checkpoint(path, Checkpoint({"w": np.zeros(3, np.float32)}, {"m/w": np.ones(3)}, {"step": 9}))
+    assert path.read_bytes() == blob
+    assert [p.name for p in tmp_path.iterdir()] == ["c.bin"]
+
+
+def test_shard_write_failing_midway_keeps_the_old_file(tmp_path):
+    path = tmp_path / "s.shard"
+    good = [ShardRecord(1, np.zeros((3, 2, 2), np.uint8), b"a cat")]
+    write_shard(good, path)
+    before = path.read_bytes()
+    with pytest.raises(TypeError):  # the second record's caption is not bytes
+        write_shard(good + [ShardRecord(2, np.ones((3, 2, 2), np.uint8), None)], path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["s.shard"]
+    assert [r.caption for r in read_shard(path)] == [b"a cat"]
+
+
+def test_save_load_save_in_place_is_byte_identical(tmp_path, blob):
+    path = tmp_path / "c.bin"
+    save_checkpoint(path, load_checkpoint(path))
+    assert path.read_bytes() == blob

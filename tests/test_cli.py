@@ -218,12 +218,15 @@ class TestEndToEnd:
     def test_unreadable_config_exits_nonzero(self, workspace):
         assert run(["train", "--config", "/nonexistent/path.cfg"]) != 0
 
-    def test_invariant_violation_names_field(self, workspace, capsys):
-        code = run(["--run-root", str(workspace / "runs5"), "train",
-                    "--config", str(workspace / "train.cfg"), "--set", "mask_ratio=1.5"])
-        assert code != 0
-        err = capsys.readouterr().err
-        assert "ratio" in err
+    @pytest.mark.parametrize("pair", ["batch_size=0", "warmup_steps=500", "mask_ratio=1.0",
+                                      "schedule_shape=step", "crop_scale_lo=0"])
+    def test_invariant_violation_names_field(self, workspace, tmp_path, capsys, pair):
+        # rejected while the config is built, so no run directory is left behind
+        code = run(["--run-root", str(tmp_path / "runs"), "train",
+                    "--config", str(workspace / "train.cfg"), "--set", pair])
+        assert code == 2
+        assert pair.split("=")[0] in capsys.readouterr().err
+        assert list((tmp_path / "runs").glob("train-*")) == []
 
     def test_unwritable_config_leaves_no_run_dir(self, workspace, tmp_path, capsys):
         (tmp_path / "data#2").symlink_to(workspace / "data")

@@ -196,7 +196,7 @@ class TestOptimizerInvariants:
         before = bias.data.copy()
         for _ in range(10):
             bias.grad = np.zeros(2, dtype=np.float32)
-            opt.step({"g": 1.0})
+            opt.step({"g": 1.0}, grad_scale=1.0)
         np.testing.assert_array_equal(bias.data, before)
 
     def test_default_exemptions(self):
@@ -238,7 +238,7 @@ class TestOptimizerInvariants:
         sched = Schedule(warmup_steps=100, total_steps=4000, shape="cosine")
         for s in range(4000):
             p.grad = (a @ (p.data.astype(np.float64) - w_star)).astype(np.float32)
-            opt.step({"all": lr_at(sched, 0.05, s)})
+            opt.step({"all": lr_at(sched, 0.05, s)}, grad_scale=1.0)
             p.grad = None
         assert np.linalg.norm(p.data.astype(np.float64) - w_star) < 1e-6
 
@@ -247,3 +247,47 @@ class TestOptimizerInvariants:
         q = Tensor(np.ones(2), requires_grad=True)
         with pytest.raises(ContractError):
             Optimizer({"a": p, "b": q}, [ParamGroup("g", ["a"], peak_lr=1.0)], OptimizerConfig())
+
+
+class TestOptimizerReadsGradients:
+    """``Optimizer.step`` unscales out of place: the gradients are only read."""
+
+    def make(self, kind="lamb"):
+        rng = np.random.default_rng(4)
+        params = {"w": Tensor(rng.standard_normal((3, 5)).astype(np.float32), requires_grad=True),
+                  "w.bias": Tensor(rng.standard_normal(5).astype(np.float32), requires_grad=True)}
+        opt = Optimizer(params, [ParamGroup("g", list(params), peak_lr=1e-2)], OptimizerConfig(kind))
+        for p in params.values():
+            p.grad = rng.standard_normal(p.shape).astype(np.float32) * np.float32(2.0**10)
+        return params, opt
+
+    @pytest.mark.parametrize("kind", ["lamb", "adamw"])
+    def test_step_leaves_gradient_bytes_unchanged(self, kind):
+        params, opt = self.make(kind)
+        before = {name: p.grad.tobytes() for name, p in params.items()}
+        for p in params.values():
+            p.grad.flags.writeable = False
+        assert opt.step({"g": 1e-2}, grad_scale=2.0**10)
+        assert {name: p.grad.tobytes() for name, p in params.items()} == before
+
+    def test_step_matches_a_pre_unscaled_gradient(self):
+        scaled, opt_scaled = self.make()
+        plain, opt_plain = self.make()
+        for p in plain.values():
+            p.grad = p.grad * np.float32(2.0**-10)
+        assert opt_scaled.step({"g": 1e-2}, grad_scale=2.0**10)
+        assert opt_plain.step({"g": 1e-2}, grad_scale=1.0)
+        for name in scaled:
+            assert scaled[name].data.tobytes() == plain[name].data.tobytes()
+            assert opt_scaled.state[name].m.tobytes() == opt_plain.state[name].m.tobytes()
+
+    def test_unscaling_overflow_to_inf_skips_the_whole_step(self):
+        # 3e38 is finite in float32, but 3e38 / 2^-4 is not: the verdict reads the quotient
+        params, opt = self.make()
+        params["w"].grad = np.full((3, 5), 3e38, dtype=np.float32)
+        data = {name: p.data.tobytes() for name, p in params.items()}
+        state = {name: arr.tobytes() for name, arr in opt.state_arrays().items()}
+        with np.errstate(over="ignore"):
+            assert not opt.step({"g": 1e-2}, grad_scale=2.0**-4)
+        assert {name: p.data.tobytes() for name, p in params.items()} == data
+        assert {name: arr.tobytes() for name, arr in opt.state_arrays().items()} == state

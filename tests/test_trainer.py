@@ -11,9 +11,9 @@ from deskclip import model as model_module
 from deskclip import tensor as T
 from deskclip import trainer as trainer_module
 from deskclip.checkpoint import load_checkpoint
-from deskclip.data import CorpusSpec, generate_corpus, load_corpus
+from deskclip.data import Batch, CorpusSpec, generate_corpus, load_corpus
 from deskclip.encoders import ImageEncoderConfig, ModelConfig, TextEncoderConfig, assign_depth
-from deskclip.errors import DimensionError, InputError
+from deskclip.errors import DimensionError, DivergenceError, InputError
 from deskclip.model import ClipModel, MAX_LOG_SCALE, preset
 from deskclip.optim import OptimizerConfig, layer_scales, lr_at
 from deskclip.trainer import (
@@ -159,6 +159,29 @@ class TestTrainStep:
                 np.testing.assert_array_equal(
                     trainer.opt.state[name].master.astype(np.float32), p.data, err_msg=name)
         assert clamped >= 6
+
+    def test_read_only_gradients_train_bit_identically(self, corpus, monkeypatch):
+        # nothing after backward may write into a gradient: freeze every leaf's
+        # gradient and step beside a plain twin
+        cfg = tiny_cfg(mask_ratio=0.5, total_steps=12)
+        frozen, plain = Trainer(cfg, corpus), Trainer(cfg, corpus)
+        real_backward = T.backward
+
+        def backward(root):
+            real_backward(root)
+            for p in frozen.model.trainable().values():
+                p.grad.flags.writeable = False
+
+        for _ in range(6):
+            with monkeypatch.context() as m:
+                m.setattr(T, "backward", backward)
+                got = frozen.train_step(frozen.stream.batch_at(frozen.attempted, 4))
+            want = plain.train_step(plain.stream.batch_at(plain.attempted, 4))
+            assert (got.loss, got.overflow) == (want.loss, want.overflow)
+        for name, p in plain.model.params.items():
+            assert frozen.model.params[name].data.tobytes() == p.data.tobytes(), name
+        for name, arr in plain.opt.state_arrays().items():
+            assert frozen.opt.state_arrays()[name].tobytes() == arr.tobytes(), name
 
     def test_logit_scale_never_exceeds_clamp(self, corpus):
         trainer = Trainer(tiny_cfg(total_steps=20), corpus)
@@ -412,3 +435,20 @@ class TestDivergence:
             trainer.train_step(trainer.stream.batch_at(trainer.attempted, 4))
         assert len(err.value.records) == 10
         assert all(hasattr(r, "loss") for r in err.value.records)
+
+    def test_nan_loss_backs_the_scale_off_until_the_floor_raises(self, corpus):
+        # NaN images make the loss and the gradients NaN; each attempt is an
+        # overflow, and the scaler's floor is the one rule that ends the run
+        trainer = Trainer(tiny_cfg(scale_init=2.0**-16), corpus)
+        for _ in range(12):
+            assert not trainer.train_step(trainer.stream.batch_at(trainer.attempted, 4)).overflow
+        good = trainer.stream.batch_at(trainer.attempted, 4)
+        poisoned = Batch(np.full_like(good.images, np.nan), good.token_ids)
+        with pytest.raises(DivergenceError, match="floor") as err:
+            for _ in range(10):
+                trainer.train_step(poisoned)
+        # 2^-16 halves to 2^-20 in four recorded attempts; the fifth falls below the floor
+        assert trainer.scaler.scale == 2.0**-21
+        assert len(err.value.records) == 10
+        assert [r.overflow for r in err.value.records] == [False] * 6 + [True] * 4
+        assert all(math.isnan(r.loss) for r in err.value.records[-4:])
