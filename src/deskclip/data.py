@@ -46,6 +46,10 @@ class TokenizerSpec:
 
     context_length: int = 32
 
+    def __post_init__(self):
+        if self.context_length < 2:
+            raise ContractError(f"text_context_length must be >= 2 (BOS and EOS), got {self.context_length}")
+
 
 def tokenize(caption: str | bytes, spec: TokenizerSpec) -> np.ndarray:
     """BOS + bytes + EOS, truncated so EOS always fits, padded to context."""

@@ -38,6 +38,12 @@ class ImageEncoderConfig:
     drop_path: float = 0.0
 
     def __post_init__(self):
+        if self.heads < 1:
+            raise ContractError(f"image_heads must be >= 1, got {self.heads}")
+        if self.patch_size < 1:
+            raise ContractError(f"image_patch_size must be >= 1, got {self.patch_size}")
+        if not 0.0 <= self.drop_path < 1.0:
+            raise ContractError(f"image_drop_path must be in [0, 1), got {self.drop_path}")
         if self.width % self.heads != 0:
             raise DimensionError(f"width {self.width} not divisible by heads {self.heads}")
         if self.image_size % self.patch_size != 0:
@@ -63,6 +69,8 @@ class TextEncoderConfig:
     context_length: int
 
     def __post_init__(self):
+        if self.heads < 1:
+            raise ContractError(f"text_heads must be >= 1, got {self.heads}")
         if self.width % self.heads != 0:
             raise DimensionError(f"width {self.width} not divisible by heads {self.heads}")
 
@@ -277,7 +285,7 @@ def _attention(
     if causal:
         q_pos = np.arange(n)[None] if rows is None else rows  # [1, n] or [b, k]
         after = np.arange(n) > q_pos[:, :, None]
-        scores = T.add(scores, Tensor(np.where(after, np.float32(NEG_INF), np.float32(0.0))[:, None]))
+        scores = T.add(scores, Tensor(np.where(after, NEG_INF, 0.0)[:, None], dtype=scores.dtype))
     weights = T.softmax_rows(scores)
     out = T.matmul(weights, v)
     out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (b, m, width))
@@ -290,9 +298,9 @@ def drop_path(branch: Tensor, rate: float, rng: np.random.Generator | None) -> T
     if rate == 0.0 or rng is None:
         return branch
     b = branch.shape[0]
-    keep = (rng.random(b) >= rate).astype(np.float32) / (1.0 - rate)
+    keep = (rng.random(b) >= rate).astype(branch.dtype) / (1.0 - rate)
     shape = (b,) + (1,) * (branch.ndim - 1)
-    return T.mul(branch, Tensor(keep.reshape(shape)))
+    return T.mul(branch, Tensor(keep.reshape(shape), dtype=branch.dtype))
 
 
 def _block(
@@ -353,20 +361,20 @@ def encode_image(
     ``mask`` and ``rng`` are training-only arguments; evaluation callers leave
     them None and get a deterministic forward pass without masking or drop path.
     """
-    x = Tensor(images)
+    validate_params(image_param_shapes(cfg, embed_dim), params, "image")
+    x = Tensor(images, dtype=params["patch_embed.weight"].dtype)
     if x.ndim != 4 or x.shape[1] != cfg.channels or x.shape[2:] != (cfg.image_size, cfg.image_size):
         raise DimensionError(
             f"images {x.shape} do not match config "
             f"[b,{cfg.channels},{cfg.image_size},{cfg.image_size}]"
         )
-    validate_params(image_param_shapes(cfg, embed_dim), params, "image")
     if mask is not None and rng is None:
         raise ContractError("masked encoding needs the caller's seeded generator")
 
     b = x.shape[0]
     tokens = _linear(patchify(x, cfg.patch_size), params, "patch_embed")
     cls = T.add(T.reshape(params["cls_token"], (1, 1, cfg.width)),
-                Tensor(np.zeros((b, 1, cfg.width), dtype=np.float32)))
+                Tensor(np.zeros((b, 1, cfg.width)), dtype=tokens.dtype))
     x = T.concat([cls, tokens], axis=1)
     x = T.add(x, params["pos_embed"])
 

@@ -244,7 +244,7 @@ def evaluate(model: ClipModel, corpus: Corpus,
     unnamed = labels[labels >= len(names)]
     if unnamed.size:
         raise InputError(f"held-out label {unnamed[0]} has no class name ({len(names)} given)")
-    templates = tuple(templates) if templates else DEFAULT_TEMPLATES
+    templates = tuple(templates) if templates is not None else DEFAULT_TEMPLATES
     text_encoder = make_text_encoder(model)
     classes = build_class_embeddings(names, templates, text_encoder)
 

@@ -36,7 +36,7 @@ def clip_loss(logits: Tensor) -> Tensor:
     labels = np.arange(logits.shape[0])
     rows = T.cross_entropy(logits, labels)
     cols = T.cross_entropy(T.transpose(logits, (1, 0)), labels)
-    return T.mul(T.add(rows, cols), Tensor(np.array(0.5, dtype=np.float32)))
+    return T.add(rows, cols) * 0.5
 
 
 def clamp_scale(log_scale: Tensor) -> None:

@@ -7,8 +7,9 @@ column statistics accumulate in 64-bit before a single cast back: sums and
 means, LayerNorm moments, softmax denominators, row norms and the LayerNorm
 gain/bias gradient sums. Tensors may also be created as float64, in which
 case ops stay in float64 end to end (GELU through ``scipy.special.erf``); the
-finite-difference oracle uses this mode. An op whose inputs mix the two
-dtypes computes in float64.
+finite-difference oracle uses this mode. An op's tensors share one dtype: an
+op given a float32 and a float64 tensor raises ``ContractError``. A Python
+number met by ``*`` takes the dtype of the tensor it multiplies.
 
 A linear layer is one node (one 2-D product, bias added in place), and so
 are the contrastive head's ops: ``l2_normalize_rows`` (squares summed in
@@ -40,6 +41,7 @@ import contextlib
 import heapq
 import itertools
 import math
+import sys
 from typing import Callable, Sequence
 
 import numpy as np
@@ -123,16 +125,14 @@ class Tensor:
 def _as_tensor(value, like: Tensor) -> Tensor:
     if isinstance(value, Tensor):
         return value
-    return Tensor(np.asarray(value, dtype=like.data.dtype))
-
-
-def _result_dtype(*tensors: Tensor):
-    if any(t.data.dtype == np.float64 for t in tensors):
-        return np.float64
-    return np.float32
+    return Tensor(value, dtype=like.data.dtype)
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward: Callable | None) -> Tensor:
+    for p in parents:
+        if p.data.dtype != data.dtype:
+            op = sys._getframe(1).f_code.co_name  # the op that called _make
+            raise ContractError(f"{op}: an op's tensors share one dtype, got {p.data.dtype} and {data.dtype}")
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
@@ -163,8 +163,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    dt = _result_dtype(a, b)
-    data = (a.data + b.data).astype(dt, copy=False)
+    data = a.data + b.data
 
     def backward(g):
         ga = _unbroadcast(g, a.shape) if a.requires_grad else None
@@ -175,12 +174,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    dt = _result_dtype(a, b)
-    data = (a.data * b.data).astype(dt, copy=False)
+    data = a.data * b.data
 
     def backward(g):
-        ga = _unbroadcast((g * b.data).astype(dt, copy=False), a.shape) if a.requires_grad else None
-        gb = _unbroadcast((g * a.data).astype(dt, copy=False), b.shape) if b.requires_grad else None
+        ga = _unbroadcast(g * b.data, a.shape) if a.requires_grad else None
+        gb = _unbroadcast(g * a.data, b.shape) if b.requires_grad else None
         return ga, gb
 
     return _make(data, (a, b), backward)
@@ -188,7 +186,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def exp(a: Tensor) -> Tensor:
     data = np.exp(a.data)
-    return _make(data, (a,), lambda g: ((g * data).astype(data.dtype, copy=False),))
+    return _make(data, (a,), lambda g: (g * data,))
 
 
 # Rational minimax erf for float32 (Eigen's ``generic_fast_erf_float``):
@@ -272,7 +270,7 @@ def gelu(a: Tensor) -> Tensor:
         # d/dx = Phi(x) + x * pdf(x), with Phi taken from the forward's erf;
         # chunked like erf_f32 so the temporaries stay in cache
         xf, ef = x.reshape(-1), inner.reshape(-1)
-        gf = np.ascontiguousarray(g, dtype=x.dtype).reshape(-1)
+        gf = np.ascontiguousarray(g).reshape(-1)
         out = np.empty_like(ef)
         pdf_buf = np.empty(min(xf.size, _BLOCK), x.dtype)
         for lo, hi in _chunks(xf.size):
@@ -374,10 +372,10 @@ def take_tokens(x: Tensor, idx: np.ndarray) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product in the inputs' storage dtype; batched when ndim > 2.
 
-    float32 inputs run as sgemm and float64 inputs as dgemm; a mixed pair
-    computes in float64. Leading (batch) extents must match exactly;
-    broadcasting batch dims is not supported (``linear`` shares a 2-D weight
-    across leading axes).
+    float32 inputs run as sgemm and float64 inputs as dgemm; a float32 input
+    paired with a float64 one raises ``ContractError``. Leading (batch) extents
+    must match exactly; broadcasting batch dims is not supported (``linear``
+    shares a 2-D weight across leading axes).
     """
     if a.ndim < 2 or b.ndim < 2:
         raise DimensionError(f"matmul needs matrices, got {a.shape} x {b.shape}")
@@ -386,7 +384,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     data = np.matmul(a.data, b.data)
 
     def backward(g):
-        g = g.astype(data.dtype, copy=False)
         ga = np.matmul(g, np.swapaxes(b.data, -1, -2)) if a.requires_grad else None
         gb = np.matmul(np.swapaxes(a.data, -1, -2), g) if b.requires_grad else None
         return ga, gb
@@ -396,20 +393,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """``x @ w + b`` as one node: one 2-D product over ``x``'s flattened rows,
-    with ``b`` added into its output in place. A mixed float32/float64 triple
-    computes in float64."""
+    with ``b`` added into its output in place. The three tensors share one
+    dtype; mixing float32 and float64 raises ``ContractError``."""
     if w.ndim != 2 or x.ndim < 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
         raise DimensionError(f"linear shape mismatch: {x.shape} x {w.shape} + {b.shape}")
-    dt = _result_dtype(x, w, b)
-    x2 = x.data.reshape(-1, x.shape[-1]).astype(dt, copy=False)
-    wd = w.data.astype(dt, copy=False)
-    out = np.matmul(x2, wd)
+    x2 = x.data.reshape(-1, x.shape[-1])
+    out = np.matmul(x2, w.data)
     out += b.data
     data = out.reshape(x.shape[:-1] + w.shape[1:])
 
     def backward(g):
-        g2 = g.astype(dt, copy=False).reshape(-1, w.shape[1])
-        gx = np.matmul(g2, wd.T).reshape(x.shape) if x.requires_grad else None
+        g2 = g.reshape(-1, w.shape[1])
+        gx = np.matmul(g2, w.data.T).reshape(x.shape) if x.requires_grad else None
         gw = np.matmul(x2.T, g2) if w.requires_grad else None
         gb = g2.sum(axis=0) if b.requires_grad else None
         return gx, gw, gb
@@ -434,14 +429,14 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 # -- normalization / softmax ---------------------------------------------------
 
 
-def _row_mean(x: np.ndarray, dt) -> np.ndarray:
-    """Last-axis mean accumulated in float64, cast once to ``dt``."""
-    return x.mean(axis=-1, keepdims=True, dtype=np.float64).astype(dt)
+def _row_mean(x: np.ndarray) -> np.ndarray:
+    """Last-axis mean accumulated in float64, cast once to ``x``'s dtype."""
+    return x.mean(axis=-1, keepdims=True, dtype=np.float64).astype(x.dtype)
 
 
-def _row_sum(x: np.ndarray, dt) -> np.ndarray:
-    """Last-axis sum accumulated in float64, cast once to ``dt``."""
-    return x.sum(axis=-1, keepdims=True, dtype=np.float64).astype(dt)
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    """Last-axis sum accumulated in float64, cast once to ``x``'s dtype."""
+    return x.sum(axis=-1, keepdims=True, dtype=np.float64).astype(x.dtype)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -453,21 +448,19 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         )
     if eps < 0:
         raise ContractError(f"layer_norm eps must be >= 0, got {eps}")
-    dt = _result_dtype(x, gain, bias)
-    xd = x.data.astype(dt, copy=False)
-    xhat = xd - _row_mean(xd, dt)
+    dt = x.data.dtype
+    xhat = x.data - _row_mean(x.data)
     var = np.mean(xhat * xhat, axis=-1, keepdims=True, dtype=np.float64)
     inv_sigma = (1.0 / np.sqrt(var + eps)).astype(dt)
     xhat *= inv_sigma
-    data = xhat * gain.data.astype(dt, copy=False) + bias.data.astype(dt, copy=False)
+    data = xhat * gain.data + bias.data
 
     def backward(g):
-        g = g.astype(dt, copy=False)
         gx = None
         if x.requires_grad:
-            dxhat = g * gain.data.astype(dt, copy=False)
-            gx = dxhat - _row_mean(dxhat, dt)
-            gx -= xhat * _row_mean(dxhat * xhat, dt)
+            dxhat = g * gain.data
+            gx = dxhat - _row_mean(dxhat)
+            gx -= xhat * _row_mean(dxhat * xhat)
             gx *= inv_sigma
         rows = (-1, d)
         ggain = gbias = None
@@ -482,13 +475,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 def softmax_rows(x: Tensor) -> Tensor:
     """Softmax over the last axis with max subtraction for overflow safety."""
-    dt = x.data.dtype
     s = np.exp(x.data - x.data.max(axis=-1, keepdims=True))
-    s /= _row_sum(s, dt)
+    s /= _row_sum(s)
 
     def backward(g):
-        g = g.astype(dt, copy=False)
-        return (s * (g - _row_sum(g * s, dt)),)
+        return (s * (g - _row_sum(g * s)),)
 
     return _make(s, (x,), backward)
 
@@ -502,7 +493,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     dt = logits.data.dtype
     rows = np.arange(len(targets))
     ls = logits.data - logits.data.max(axis=-1, keepdims=True)
-    ls -= np.log(_row_sum(np.exp(ls), dt))
+    ls -= np.log(_row_sum(np.exp(ls)))
     data = np.asarray(-ls[rows, targets].sum(dtype=np.float64) / len(targets)).astype(dt)
 
     def backward(g):
@@ -518,13 +509,11 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
 def l2_normalize_rows(x: Tensor) -> Tensor:
     """Scale each last-axis row to unit Euclidean norm (the sum of squares
     accumulates in float64); the backward is ``(g - y * sum(g * y)) / norm``."""
-    dt = x.data.dtype
-    norm = np.sqrt(_row_sum(x.data * x.data, dt))
+    norm = np.sqrt(_row_sum(x.data * x.data))
     y = x.data / norm
 
     def backward(g):
-        g = g.astype(dt, copy=False)
-        d = g - y * _row_sum(g * y, dt)
+        d = g - y * _row_sum(g * y)
         d /= norm
         return (d,)
 

@@ -69,12 +69,21 @@ class TrainConfig:
             raise ContractError(f"init_policy must be one of {INIT_POLICIES}, got {self.init_policy!r}")
         if self.batch_size < 1:
             raise ContractError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.seed < 0:
+            raise ContractError(f"seed must be >= 0, got {self.seed}")
+        if self.checkpoint_interval < 0:
+            raise ContractError(f"checkpoint_interval must be >= 0 (0: every 10% of total_steps), "
+                                f"got {self.checkpoint_interval}")
+        if self.scale_growth_interval < 1:
+            raise ContractError(f"scale_growth_interval must be >= 1, got {self.scale_growth_interval}")
         if not 0.0 < self.crop_scale_lo <= self.crop_scale_hi <= 1.0:
             raise ContractError(f"need 0 < crop_scale_lo <= crop_scale_hi <= 1, "
                                 f"got {self.crop_scale_lo}, {self.crop_scale_hi}")
-        # Schedule checks warmup_steps, total_steps and schedule_shape; MaskSpec mask_ratio
+        # Schedule checks warmup_steps, total_steps and schedule_shape; MaskSpec mask_ratio;
+        # TokenizerSpec text_context_length
         self.schedule
         MaskSpec(self.mask_ratio)
+        TokenizerSpec(self.model.text.context_length)
 
     @property
     def schedule(self) -> Schedule:

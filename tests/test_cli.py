@@ -219,7 +219,11 @@ class TestEndToEnd:
         assert run(["train", "--config", "/nonexistent/path.cfg"]) != 0
 
     @pytest.mark.parametrize("pair", ["batch_size=0", "warmup_steps=500", "mask_ratio=1.0",
-                                      "schedule_shape=step", "crop_scale_lo=0"])
+                                      "schedule_shape=step", "crop_scale_lo=0",
+                                      "checkpoint_interval=-1", "scale_growth_interval=0",
+                                      "image_heads=0", "image_patch_size=0", "text_heads=0", "seed=-1",
+                                      "text_context_length=1", "image_drop_path=1.0",
+                                      "image_drop_path=-0.1"])
     def test_invariant_violation_names_field(self, workspace, tmp_path, capsys, pair):
         # rejected while the config is built, so no run directory is left behind
         code = run(["--run-root", str(tmp_path / "runs"), "train",
@@ -327,6 +331,16 @@ class TestRejectedInputs:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and repr(template) in err
+        assert list((tmp_path / "runs").glob("eval-*")) == []
+
+    def test_eval_rejects_a_blank_templates_file(self, trained, tmp_path, capsys):
+        save_checkpoint(tmp_path / "model.bin", trained)
+        (tmp_path / "blank.txt").write_text("\n  \n")
+        code = run(["--run-root", str(tmp_path / "runs"), "eval", "--ckpt", str(tmp_path / "model.bin"),
+                    "--templates", str(tmp_path / "blank.txt")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "template" in err
         assert list((tmp_path / "runs").glob("eval-*")) == []
 
 

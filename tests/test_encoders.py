@@ -354,7 +354,7 @@ def reference_text(ids, model):
 def embedding_and_grads(model, encode):
     out = encode()
     weights = np.random.default_rng(12).standard_normal(out.shape).astype(np.float32)
-    T.backward(T.tsum(T.mul(out, Tensor(weights))))
+    T.backward(T.tsum(T.mul(out, Tensor(weights, dtype=out.dtype))))
     grads = {name: p.grad for name, p in model.trainable().items() if p.grad is not None}
     T.zero_grads(model.trainable().values())
     return out.data, grads

@@ -270,3 +270,12 @@ def test_evaluate_rejects_a_held_out_label_without_a_class_name(tmp_path):
     model = ClipModel.init(preset("tiny"), 0)
     with pytest.raises(InputError, match="held-out label 2 has no class name"):
         evaluate(model, corpus, class_names=corpus.class_names[:2])
+
+
+def test_evaluate_rejects_an_empty_template_list(tmp_path):
+    """An empty list is rejected like ``class_names=[]``; only ``None`` means the default prompt."""
+    spec = CorpusSpec(num_classes=4, samples_per_class=4, image_size=16, seed=0)
+    corpus = load_corpus(generate_corpus(spec, tmp_path))
+    model = ClipModel.init(preset("tiny"), 0)
+    with pytest.raises(InputError, match="prompt template"):
+        evaluate(model, corpus, templates=[])

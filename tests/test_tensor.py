@@ -35,7 +35,7 @@ class TestMatmul:
         proj = rng.standard_normal((3, 2))
 
         def f(a):
-            return T.tsum(T.mul(T.matmul(a, b), Tensor(proj, dtype=a.dtype)))
+            return T.tsum(T.mul(T.matmul(a, Tensor(b.data, dtype=a.dtype)), Tensor(proj, dtype=a.dtype)))
 
         err = T.grad_check(f, rand_tensor(rng, (3, 4)), eps=1e-3)
         assert err < 1e-3
@@ -229,10 +229,29 @@ class TestPrecisionPolicy:
         for leaf in (x, w, gain, bias):
             assert leaf.grad.dtype == dtype
 
-    def test_mixed_layer_norm_computes_in_float64(self):
-        x = np.random.default_rng(14).standard_normal((3, 4)).astype(np.float32)
-        out = T.layer_norm(Tensor(x), Tensor(np.ones(4), dtype=np.float64), Tensor(np.zeros(4)))
+    @pytest.mark.parametrize("first,second", [(np.float32, np.float64), (np.float64, np.float32)])
+    @pytest.mark.parametrize("op", ["add", "mul", "matmul", "linear", "layer_norm"])
+    def test_mixed_dtypes_raise_naming_the_op_and_both_dtypes(self, op, first, second):
+        rng = np.random.default_rng(14)
+        a = Tensor(rng.standard_normal((4, 4)), dtype=first)
+        b = Tensor(rng.standard_normal((4, 4)), dtype=second)
+        bias = Tensor(np.zeros(4), dtype=second)
+        build = {
+            "add": lambda: T.add(a, b),
+            "mul": lambda: T.mul(a, b),
+            "matmul": lambda: T.matmul(a, b),
+            "linear": lambda: T.linear(a, b, bias),
+            "layer_norm": lambda: T.layer_norm(a, Tensor(np.ones(4), dtype=second), bias),
+        }[op]
+        with pytest.raises(ContractError, match=rf"^{op}:") as err:
+            build()
+        assert "float32" in str(err.value) and "float64" in str(err.value)
+
+    def test_python_number_takes_the_tensor_dtype(self):
+        x = np.random.default_rng(15).standard_normal(5)
+        out = Tensor(x, dtype=np.float64) * 0.1
         assert out.dtype == np.float64
+        np.testing.assert_array_equal(out.data, x * 0.1)
 
     def test_grads_stored_on_leaves_only(self):
         rng = np.random.default_rng(10)
@@ -371,19 +390,6 @@ class TestOpsMatchTheirFormulas:
 
 
 class TestLinear:
-    def test_mixed_dtypes_compute_in_float64(self):
-        rng = np.random.default_rng(13)
-        x = rng.standard_normal((2, 3, 4)).astype(np.float32)
-        w = rng.standard_normal((4, 5))
-        b = rng.standard_normal(5).astype(np.float32)
-        wt = Tensor(w, requires_grad=True, dtype=np.float64)
-        out = T.linear(Tensor(x), wt, Tensor(b))
-        assert out.dtype == np.float64
-        want = np.matmul(x.reshape(-1, 4).astype(np.float64), w) + b.astype(np.float64)
-        np.testing.assert_array_equal(out.data, want.reshape(2, 3, 5))
-        T.backward(T.tsum(out))
-        assert wt.grad.dtype == np.float64
-
     def test_shape_mismatch_names_all_shapes(self):
         with pytest.raises(DimensionError, match=r"\(2, 3\).*\(4, 5\).*\(5,\)"):
             T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))), Tensor(np.zeros(5)))
