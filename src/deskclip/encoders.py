@@ -247,11 +247,11 @@ def interpolate_pos_embed(pos: Tensor, new_grid: int) -> Tensor:
     if g * g != rows - 1:
         raise DimensionError(f"positional table has {rows - 1} grid rows, not a perfect square")
     if new_grid == g:
-        return Tensor(pos.data.copy())
+        return Tensor(pos.data.copy(), dtype=pos.dtype)
     grid = pos.data[1:].reshape(g, g, d).transpose(2, 0, 1)
     resized = bilinear_resize(grid, new_grid, new_grid)
     flat = resized.transpose(1, 2, 0).reshape(new_grid * new_grid, d)
-    return Tensor(np.concatenate([pos.data[:1], flat], axis=0))
+    return Tensor(np.concatenate([pos.data[:1], flat], axis=0), dtype=pos.dtype)
 
 
 def _linear(x: Tensor, params: dict[str, Tensor], name: str) -> Tensor:

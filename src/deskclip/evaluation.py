@@ -96,6 +96,9 @@ def recall_at_k(
         items = set(int(x) for x in items)
         if not items:
             raise InputError(f"query {i} has no ground-truth gallery item")
+        if not all(0 <= x < g.shape[0] for x in items):
+            raise InputError(f"query {i}: ground-truth items {sorted(items)} outside the "
+                             f"gallery of {g.shape[0]}")
         truth.append(items)
     order = np.argsort(-(q @ g.T), axis=1, kind="stable")
     out = {}
@@ -116,6 +119,9 @@ def retrieval_report(
     n_images = np.asarray(image_embeddings).shape[0]
     image_truth = [[] for _ in range(n_images)]
     for cap_idx, img_idx in enumerate(caption_to_image):
+        if not 0 <= img_idx < n_images:
+            raise InputError(f"caption {cap_idx} maps to image {img_idx}, outside the "
+                             f"gallery of {n_images}")
         image_truth[img_idx].append(cap_idx)
     return {
         "text_retrieval": recall_at_k(image_embeddings, text_embeddings, image_truth, ks),

@@ -1,11 +1,13 @@
 """LAMB and AdamW with layer-wise LR decay, warmup schedules, and loss scaling.
 
-Moments and a master copy of each parameter are kept in float64; the float32
-tensors are refreshed from the master after every applied step. Optimizer.step
-is the only reader of gradients: it divides each by the loss scale out of
-place, in float32, and skips the whole update if any quotient is non-finite.
-Masters sync only where tensors are written from outside: ``Optimizer.adopt``
-after the logit-scale clamp, and the end of ``load_state_arrays`` on resume.
+One update rule serves both: LAMB is the decoupled-decay AdamW step scaled by
+a per-tensor trust ratio phi, and AdamW is that step at phi = 1. Moments and a
+float64 master of each parameter are updated in place; the float32 tensors are
+refreshed from the master after every applied step. Optimizer.step is the only
+reader of gradients: it divides each by the loss scale out of place, in
+float32, and skips the whole update if any quotient is non-finite. Masters
+sync only where tensors are written from outside: ``Optimizer.adopt`` after
+the logit-scale clamp, and the end of ``load_state_arrays`` on resume.
 """
 
 from __future__ import annotations
@@ -101,9 +103,11 @@ class MomentState:
         return cls(m=np.zeros_like(w), v=np.zeros_like(w), master=w.copy())
 
 
-def _update(kind: str, param: Tensor, grad64: np.ndarray, state: MomentState, cfg: OptimizerConfig,
-            lr: float, apply_decay: bool, force_trust_ratio: float | None = None) -> None:
-    """One LAMB or AdamW update of ``param`` from a finite float64 gradient."""
+def _update(param: Tensor, grad64: np.ndarray, state: MomentState, cfg: OptimizerConfig,
+            lr: float, apply_decay: bool, trust_ratio: float | None) -> None:
+    """One update of ``param`` from a finite float64 gradient, in place on the master:
+    the AdamW step scaled by phi = ``trust_ratio``, or by LAMB's ||master|| / ||update||
+    when that is None (AdamW passes 1)."""
     # in place, with the operands and rounding order of the scalar recurrences
     state.t += 1
     state.m *= cfg.beta1
@@ -117,20 +121,14 @@ def _update(kind: str, param: Tensor, grad64: np.ndarray, state: MomentState, cf
     np.sqrt(v_hat, out=v_hat)
     v_hat += cfg.eps
     update /= v_hat
-    if kind == "lamb":
-        if apply_decay and cfg.weight_decay:
-            update += cfg.weight_decay * state.master
-        if force_trust_ratio is not None:
-            phi = force_trust_ratio
-        else:
-            w_norm = float(np.linalg.norm(state.master))
-            u_norm = float(np.linalg.norm(update))
-            phi = w_norm / u_norm if w_norm > 0.0 and u_norm > 0.0 else 1.0
-        update *= lr * phi
-        state.master -= update
-    else:
-        decay = cfg.weight_decay if apply_decay else 0.0
-        state.master = state.master - lr * update - lr * decay * state.master
+    if apply_decay and cfg.weight_decay:
+        update += cfg.weight_decay * state.master
+    if trust_ratio is None:
+        w_norm = float(np.linalg.norm(state.master))
+        u_norm = float(np.linalg.norm(update))
+        trust_ratio = w_norm / u_norm if w_norm > 0.0 and u_norm > 0.0 else 1.0
+    update *= lr * trust_ratio
+    state.master -= update
     param.data = state.master.astype(param.data.dtype)
 
 
@@ -140,18 +138,14 @@ def lamb_step(param: Tensor, grad: np.ndarray, state: MomentState, cfg: Optimize
     grad64 = np.asarray(grad, dtype=np.float64)
     if not np.isfinite(grad64).all():
         return False
-    _update("lamb", param, grad64, state, cfg, lr, apply_decay, force_trust_ratio)
+    _update(param, grad64, state, cfg, lr, apply_decay, force_trust_ratio)
     return True
 
 
 def adamw_step(param: Tensor, grad: np.ndarray, state: MomentState, cfg: OptimizerConfig,
                lr: float, apply_decay: bool = True) -> bool:
-    """Decoupled-decay Adam update; same moment recurrences as lamb_step."""
-    grad64 = np.asarray(grad, dtype=np.float64)
-    if not np.isfinite(grad64).all():
-        return False
-    _update("adamw", param, grad64, state, cfg, lr, apply_decay)
-    return True
+    """Decoupled-decay Adam update: the LAMB step at trust ratio 1."""
+    return lamb_step(param, grad, state, cfg, lr, apply_decay, force_trust_ratio=1.0)
 
 
 class Optimizer:
@@ -167,6 +161,10 @@ class Optimizer:
         self.groups = groups
         self.cfg = cfg
         self.state = {name: MomentState.fresh(p) for name, p in params.items()}
+        # (name, group, LR multiplier, takes decay) per tensor, in group order
+        self.members = [(name, g.name, g.lr_scales.get(name, 1.0), not default_decay_exempt(name))
+                        for g in groups for name in g.member_names]
+        self.trust_ratio = 1.0 if cfg.kind == "adamw" else None  # None: LAMB's norm ratio
         self.last_effective_lrs: dict[str, float] = {}
 
     def step(self, group_lrs: dict[str, float], grad_scale: float) -> bool:
@@ -178,14 +176,12 @@ class Optimizer:
         if not all(np.isfinite(g).all() for g in grads.values()):
             return False
         self.last_effective_lrs = {}
-        for group in self.groups:
-            for name in group.member_names:
-                param = self.params[name]
-                grad64 = grads[name].astype(np.float64) if name in grads else np.zeros(param.shape)
-                lr = group_lrs[group.name] * group.lr_scales.get(name, 1.0)
-                _update(self.cfg.kind, param, grad64, self.state[name], self.cfg, lr,
-                        apply_decay=not default_decay_exempt(name))
-                self.last_effective_lrs[name] = lr
+        for name, group, lr_scale, apply_decay in self.members:
+            param = self.params[name]
+            grad64 = grads[name].astype(np.float64) if name in grads else np.zeros(param.shape)
+            lr = group_lrs[group] * lr_scale
+            _update(param, grad64, self.state[name], self.cfg, lr, apply_decay, self.trust_ratio)
+            self.last_effective_lrs[name] = lr
         return True
 
     def adopt(self, name: str) -> None:

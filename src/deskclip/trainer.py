@@ -76,6 +76,16 @@ class TrainConfig:
                                 f"got {self.checkpoint_interval}")
         if self.scale_growth_interval < 1:
             raise ContractError(f"scale_growth_interval must be >= 1, got {self.scale_growth_interval}")
+        if not 0.0 < self.scale_init < math.inf:
+            raise ContractError(f"scale_init must be finite and > 0, got {self.scale_init}")
+        if self.warmup_steps < 0:
+            raise ContractError(f"warmup_steps must be >= 0, got {self.warmup_steps}")
+        for key in ("peak_lr_image", "peak_lr_text"):
+            if not 0.0 <= getattr(self, key) < math.inf:
+                raise ContractError(f"{key} must be finite and >= 0, got {getattr(self, key)}")
+        for key in ("layer_decay_image", "layer_decay_text"):
+            if not 0.0 < getattr(self, key) <= 1.0:
+                raise ContractError(f"{key} must be in (0, 1], got {getattr(self, key)}")
         if not 0.0 < self.crop_scale_lo <= self.crop_scale_hi <= 1.0:
             raise ContractError(f"need 0 < crop_scale_lo <= crop_scale_hi <= 1, "
                                 f"got {self.crop_scale_lo}, {self.crop_scale_hi}")

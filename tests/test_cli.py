@@ -223,7 +223,11 @@ class TestEndToEnd:
                                       "checkpoint_interval=-1", "scale_growth_interval=0",
                                       "image_heads=0", "image_patch_size=0", "text_heads=0", "seed=-1",
                                       "text_context_length=1", "image_drop_path=1.0",
-                                      "image_drop_path=-0.1"])
+                                      "image_drop_path=-0.1", "scale_init=0", "scale_init=-1",
+                                      "scale_init=inf", "peak_lr_text=nan", "peak_lr_image=-1",
+                                      "peak_lr_image=inf", "warmup_steps=-3",
+                                      "layer_decay_image=0", "layer_decay_text=1.5",
+                                      "layer_decay_text=nan"])
     def test_invariant_violation_names_field(self, workspace, tmp_path, capsys, pair):
         # rejected while the config is built, so no run directory is left behind
         code = run(["--run-root", str(tmp_path / "runs"), "train",

@@ -229,6 +229,12 @@ class TestInterpolatePosEmbed:
         with pytest.raises(DimensionError):
             interpolate_pos_embed(Tensor(np.zeros((1 + 5, 3), dtype=np.float32)), 4)
 
+    @pytest.mark.parametrize("new_grid", [4, 3], ids=["same-grid", "resampled"])
+    def test_float64_table_stays_float64(self, new_grid):
+        pos = Tensor(np.random.default_rng(2).standard_normal((17, 4)), dtype=np.float64)
+        out = interpolate_pos_embed(pos, new_grid)
+        assert out.dtype == np.float64 and out.shape == (1 + new_grid**2, 4)
+
 
 class TestCountParams:
     @pytest.mark.parametrize("name,image_m,text_m", [("B/16", 86e6, 63e6), ("L/14", 304e6, 124e6)])

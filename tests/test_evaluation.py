@@ -205,6 +205,16 @@ class TestRecallAtK:
         with pytest.raises(InputError, match="query 1"):
             recall_at_k(np.eye(2), np.eye(2), [[0], []])
 
+    @pytest.mark.parametrize("bad", [5, 3, -1])
+    def test_ground_truth_outside_gallery_named(self, bad):
+        with pytest.raises(InputError, match="query 2.*gallery of 3"):
+            recall_at_k(np.eye(3), np.eye(3), [[0], [1], [bad]])
+
+    @pytest.mark.parametrize("bad", [-1, 7, 3])
+    def test_caption_outside_gallery_named(self, bad):
+        with pytest.raises(InputError, match=f"caption 2 maps to image {bad}.*gallery of 3"):
+            retrieval_report(np.eye(3), np.eye(3), [0, 1, bad])
+
     def test_retrieval_report_directions(self):
         img = np.eye(3)
         txt = np.repeat(np.eye(3), 2, axis=0)  # two captions per image

@@ -101,18 +101,20 @@ class TestAdamwStep:
             adamw_step(p, np.array([g]), st, cfg, lr=1e-2)
             assert abs(float(p.data[0]) - expected) / max(abs(expected), 1e-12) < 1e-6
 
-    def test_lamb_with_unit_trust_ratio_equals_adamw_exactly(self):
-        cfg = OptimizerConfig("lamb", beta1=0.9, beta2=0.98, eps=1e-6, weight_decay=0.0)
-        acfg = OptimizerConfig("adamw", beta1=0.9, beta2=0.98, eps=1e-6, weight_decay=0.0)
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+    def test_lamb_with_unit_trust_ratio_equals_adamw_exactly(self, weight_decay):
+        cfg = OptimizerConfig("lamb", beta1=0.9, beta2=0.98, eps=1e-6, weight_decay=weight_decay)
+        acfg = OptimizerConfig("adamw", beta1=0.9, beta2=0.98, eps=1e-6, weight_decay=weight_decay)
         rng = np.random.default_rng(2)
-        pa = Tensor(np.array([0.5, -1.5, 2.0], dtype=np.float32), requires_grad=True)
+        pa = Tensor(rng.standard_normal(64).astype(np.float32), requires_grad=True)
         pb = Tensor(pa.data.copy(), requires_grad=True)
         sa, sb = MomentState.fresh(pa), MomentState.fresh(pb)
-        for _ in range(50):
-            g = rng.standard_normal(3).astype(np.float32)
+        for _ in range(100):
+            g = rng.standard_normal(64).astype(np.float32)
             lamb_step(pa, g, sa, cfg, lr=1e-2, force_trust_ratio=1.0)
             adamw_step(pb, g, sb, acfg, lr=1e-2)
-            np.testing.assert_array_equal(pa.data, pb.data)
+            assert pa.data.tobytes() == pb.data.tobytes()
+            assert sa.master.tobytes() == sb.master.tobytes()
 
 
 class TestLayerScales:
@@ -269,6 +271,15 @@ class TestOptimizerReadsGradients:
             p.grad.flags.writeable = False
         assert opt.step({"g": 1e-2}, grad_scale=2.0**10)
         assert {name: p.grad.tobytes() for name, p in params.items()} == before
+
+    def test_adamw_step_updates_each_master_in_place(self):
+        params, opt = self.make("adamw")
+        masters = {name: opt.state[name].master for name in params}
+        before = {name: master.copy() for name, master in masters.items()}
+        assert opt.step({"g": 1e-2}, grad_scale=2.0**10)
+        for name in params:
+            assert opt.state[name].master is masters[name]
+            assert not np.array_equal(masters[name], before[name])
 
     def test_step_matches_a_pre_unscaled_gradient(self):
         scaled, opt_scaled = self.make()
