@@ -54,8 +54,9 @@ def format_config(flat: dict, overrides: list[str] | None = None) -> str:
     if overrides:
         lines.append("# overrides applied: " + " ".join(overrides))
     for key, value in sorted(flat.items()):
-        if any(c in str(value) for c in "#\r\n"):
-            raise InputError(f"config key {key}: {value!r} cannot be written ('#' or a line break)")
+        text = str(value)
+        if "#" in text or len(text.splitlines()) > 1 or text != text.strip():
+            raise InputError(f"config key {key}: {value!r} cannot be written: '#', line break or outer space")
         lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"
 

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .binfile import Reader, atomic_writer
+from .domains import check, within
 from .errors import ContractError, CorruptionError, FormatError, InputError
 from .resample import bilinear_resize
 
@@ -44,11 +45,9 @@ def class_name(index: int) -> str:
 class TokenizerSpec:
     """Byte-level vocabulary: ids 0..255 are raw bytes, then PAD, BOS, EOS."""
 
-    context_length: int = 32
+    context_length: int = within("[2, inf)", 32)  # BOS and EOS
 
-    def __post_init__(self):
-        if self.context_length < 2:
-            raise ContractError(f"text_context_length must be >= 2 (BOS and EOS), got {self.context_length}")
+    __post_init__ = check
 
 
 def tokenize(caption: str | bytes, spec: TokenizerSpec) -> np.ndarray:
@@ -117,17 +116,16 @@ def read_shard(path: str | Path, image_shape: tuple[int, int, int] | None = None
 
 @dataclass(frozen=True)
 class CorpusSpec:
-    num_classes: int
-    samples_per_class: int
-    image_size: int = 32
+    num_classes: int = within("[2, inf)")
+    samples_per_class: int = within("[0, inf)")
+    image_size: int = within("[1, inf)", 32)
     caption_templates: tuple[str, ...] = ("a photo of a {}",)
-    seed: int = 0
-    eval_per_class: int = 0  # 0 means samples_per_class // 4, at least 1
-    channels: int = 3
+    seed: int = within("[0, inf)", 0)
+    eval_per_class: int = within("[0, inf)", 0)  # 0 means samples_per_class // 4, at least 1
+    channels: int = within("[1, inf)", 3)
 
     def __post_init__(self):
-        if self.num_classes < 2:
-            raise ContractError(f"need at least 2 classes, got {self.num_classes}")
+        check(self)
         if self.eval_per_class == 0:
             object.__setattr__(self, "eval_per_class", max(1, self.samples_per_class // 4))
 

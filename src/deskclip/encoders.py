@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .domains import check, within
 from .errors import ContractError, DimensionError, InputError
 from .resample import bilinear_resize
 from .tensor import Tensor
@@ -29,27 +30,15 @@ NEG_INF = -1e9  # additive attention mask; survives float32 and max-subtraction
 
 @dataclass(frozen=True)
 class ImageEncoderConfig:
-    layers: int
-    width: int
-    heads: int
-    image_size: int
-    patch_size: int
-    channels: int = 3
-    drop_path: float = 0.0
+    layers: int = within("[0, inf)")
+    width: int = within("[1, inf)")
+    heads: int = within("[1, inf)")
+    image_size: int = within("[1, inf)")
+    patch_size: int = within("[1, inf)")
+    channels: int = within("[1, inf)", 3)
+    drop_path: float = within("[0, 1)", 0.0)
 
-    def __post_init__(self):
-        if self.heads < 1:
-            raise ContractError(f"image_heads must be >= 1, got {self.heads}")
-        if self.patch_size < 1:
-            raise ContractError(f"image_patch_size must be >= 1, got {self.patch_size}")
-        if not 0.0 <= self.drop_path < 1.0:
-            raise ContractError(f"image_drop_path must be in [0, 1), got {self.drop_path}")
-        if self.width % self.heads != 0:
-            raise DimensionError(f"width {self.width} not divisible by heads {self.heads}")
-        if self.image_size % self.patch_size != 0:
-            raise DimensionError(
-                f"image_size {self.image_size} not divisible by patch_size {self.patch_size}"
-            )
+    __post_init__ = check
 
     @property
     def grid(self) -> int:
@@ -62,17 +51,13 @@ class ImageEncoderConfig:
 
 @dataclass(frozen=True)
 class TextEncoderConfig:
-    layers: int
-    width: int
-    heads: int
-    vocab_size: int
-    context_length: int
+    layers: int = within("[0, inf)")
+    width: int = within("[1, inf)")
+    heads: int = within("[1, inf)")
+    vocab_size: int = within("[1, inf)")
+    context_length: int = within("[2, inf)")  # BOS and EOS
 
-    def __post_init__(self):
-        if self.heads < 1:
-            raise ContractError(f"text_heads must be >= 1, got {self.heads}")
-        if self.width % self.heads != 0:
-            raise DimensionError(f"width {self.width} not divisible by heads {self.heads}")
+    __post_init__ = check
 
     @property
     def eos_id(self) -> int:
@@ -83,9 +68,10 @@ class TextEncoderConfig:
 class ModelConfig:
     image: ImageEncoderConfig
     text: TextEncoderConfig
-    embed_dim: int = 0  # 0 means "use text width"
+    embed_dim: int = within("[0, inf)", 0)  # 0 means "use text width"
 
     def __post_init__(self):
+        check(self)
         if self.embed_dim == 0:
             object.__setattr__(self, "embed_dim", self.text.width)
 
@@ -94,11 +80,9 @@ class ModelConfig:
 class MaskSpec:
     """Random token dropping: keep ceil((1-ratio) * n) patches, at least one."""
 
-    ratio: float
+    ratio: float = within("[0, 1)")
 
-    def __post_init__(self):
-        if not 0.0 <= self.ratio < 1.0:
-            raise ContractError(f"mask_ratio must be in [0, 1), got {self.ratio}")
+    __post_init__ = check
 
     def kept_count(self, n_tokens: int) -> int:
         return max(1, math.ceil((1.0 - self.ratio) * n_tokens))

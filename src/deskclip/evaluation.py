@@ -91,6 +91,8 @@ def recall_at_k(
     g = _normalize_rows(gallery_embeddings)
     if len(ground_truth) != q.shape[0]:
         raise InputError(f"{q.shape[0]} queries but {len(ground_truth)} ground-truth entries")
+    if bad := [k for k in ks if k < 1]:
+        raise InputError(f"recall@k needs k >= 1, got k = {bad[0]}")
     truth = []
     for i, items in enumerate(ground_truth):
         items = set(int(x) for x in items)

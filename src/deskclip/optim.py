@@ -17,27 +17,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .domains import check, within
 from .errors import ContractError, DivergenceError, RangeError
 from .tensor import Tensor
 
 SCALE_FLOOR = 2.0**-20
+SCHEDULE_SHAPES = ("cosine", "linear")
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    kind: str = "lamb"  # "lamb" | "adamw"
-    beta1: float = 0.9
-    beta2: float = 0.98
-    eps: float = 1e-6
-    weight_decay: float = 0.05
+    kind: str = within(("lamb", "adamw"), "lamb")
+    beta1: float = within("[0, 1)", 0.9)
+    beta2: float = within("[0, 1)", 0.98)
+    eps: float = within("(0, inf)", 1e-6)
+    weight_decay: float = within("[0, inf)", 0.05)
 
-    def __post_init__(self):
-        if self.kind not in ("lamb", "adamw"):
-            raise ContractError(f"unknown optimizer kind {self.kind!r}")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ContractError(f"betas must be in [0, 1): {self.beta1}, {self.beta2}")
-        if self.eps <= 0.0 or self.weight_decay < 0.0:
-            raise ContractError(f"need eps > 0 and weight_decay >= 0, got {self.eps}, {self.weight_decay}")
+    __post_init__ = check
 
 
 def default_decay_exempt(name: str) -> bool:
@@ -55,15 +51,11 @@ class ParamGroup:
 
 @dataclass(frozen=True)
 class Schedule:
-    warmup_steps: int
-    total_steps: int
-    shape: str = "cosine"  # "cosine" | "linear"
+    warmup_steps: int = within("[0, inf)")
+    total_steps: int = within("[1, inf)")
+    shape: str = within(SCHEDULE_SHAPES, "cosine")
 
-    def __post_init__(self):
-        if self.warmup_steps > self.total_steps:
-            raise ContractError(f"warmup_steps {self.warmup_steps} exceeds total_steps {self.total_steps}")
-        if self.shape not in ("cosine", "linear"):
-            raise ContractError(f"schedule_shape must be cosine or linear, got {self.shape!r}")
+    __post_init__ = check
 
 
 def lr_at(schedule: Schedule, peak: float, step: int) -> float:
@@ -214,16 +206,13 @@ class Optimizer:
 
 @dataclass
 class LossScalerState:
-    scale: float = 2.0**15
-    good_steps: int = 0
-    growth_interval: int = 2000
-    growth_factor: float = 2.0
-    backoff_factor: float = 0.5
+    scale: float = within("(0, inf)", 2.0**15)
+    good_steps: int = within("[0, inf)", 0)
+    growth_interval: int = within("[1, inf)", 2000)
+    growth_factor: float = within("(1, inf)", 2.0)
+    backoff_factor: float = within("(0, 1)", 0.5)
 
-    def __post_init__(self):
-        if (not 0.0 < self.scale < math.inf or self.growth_factor <= 1.0
-                or not 0.0 < self.backoff_factor < 1.0):
-            raise ContractError("loss scaler configured outside its domain")
+    __post_init__ = check
 
 
 def scaler_update(state: LossScalerState, overflow: bool) -> bool:

@@ -17,11 +17,13 @@ import numpy as np
 from . import tensor as T
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .data import PAD_ID, VOCAB_SIZE, Batch, BatchStream, Corpus, TokenizerSpec, random_resized_crop
+from .domains import check, within
 from .encoders import MaskSpec, ModelConfig, assign_depth, interpolate_pos_embed
 from .errors import ContractError, DimensionError, DivergenceError, InputError
 from .model import MAX_LOG_SCALE, ClipModel
 from .objective import clamp_scale, clip_loss, similarity_logits
 from .optim import (
+    SCHEDULE_SHAPES,
     LossScalerState,
     Optimizer,
     OptimizerConfig,
@@ -42,58 +44,28 @@ RESUME_METADATA = ("step", "attempted", "samples_seen", "rng_state", "scaler")
 class TrainConfig:
     model: ModelConfig
     optimizer: OptimizerConfig = OptimizerConfig()
-    peak_lr_image: float = 2e-4
-    peak_lr_text: float = 2e-5
-    layer_decay_image: float = 0.75
-    layer_decay_text: float = 0.75
-    schedule_shape: str = "cosine"
-    warmup_steps: int = 2000
-    total_steps: int = 10000
-    mask_ratio: float = 0.5
-    batch_size: int = 64
-    seed: int = 0
-    init_policy: str = "scratch"
+    peak_lr_image: float = within("[0, inf)", 2e-4)
+    peak_lr_text: float = within("[0, inf)", 2e-5)
+    layer_decay_image: float = within("(0, 1]", 0.75)
+    layer_decay_text: float = within("(0, 1]", 0.75)
+    schedule_shape: str = within(SCHEDULE_SHAPES, "cosine")
+    warmup_steps: int = within("[0, inf)", 2000)
+    total_steps: int = within("[1, inf)", 10000)
+    mask_ratio: float = within("[0, 1)", 0.5)
+    batch_size: int = within("[1, inf)", 64)
+    seed: int = within("[0, inf)", 0)
+    init_policy: str = within(INIT_POLICIES, "scratch")
     init_checkpoint: str = ""
     init_strict: bool = False
     augment: bool = True
-    crop_scale_lo: float = 0.9
-    crop_scale_hi: float = 1.0
-    checkpoint_interval: int = 0  # 0 -> every 10% of total steps
-    scale_init: float = 2.0**15
-    scale_growth_interval: int = 2000
+    crop_scale_lo: float = within("(0, 1]", 0.9)
+    crop_scale_hi: float = within("(0, 1]", 1.0)
+    checkpoint_interval: int = within("[0, inf)", 0)  # 0 -> every 10% of total steps
+    scale_init: float = within("(0, inf)", 2.0**15)
+    scale_growth_interval: int = within("[1, inf)", 2000)
     data_manifest: str = ""
 
-    def __post_init__(self):
-        # every value a run would reject later is rejected here, before a run directory exists
-        if self.init_policy not in INIT_POLICIES:
-            raise ContractError(f"init_policy must be one of {INIT_POLICIES}, got {self.init_policy!r}")
-        if self.batch_size < 1:
-            raise ContractError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.seed < 0:
-            raise ContractError(f"seed must be >= 0, got {self.seed}")
-        if self.checkpoint_interval < 0:
-            raise ContractError(f"checkpoint_interval must be >= 0 (0: every 10% of total_steps), "
-                                f"got {self.checkpoint_interval}")
-        if self.scale_growth_interval < 1:
-            raise ContractError(f"scale_growth_interval must be >= 1, got {self.scale_growth_interval}")
-        if not 0.0 < self.scale_init < math.inf:
-            raise ContractError(f"scale_init must be finite and > 0, got {self.scale_init}")
-        if self.warmup_steps < 0:
-            raise ContractError(f"warmup_steps must be >= 0, got {self.warmup_steps}")
-        for key in ("peak_lr_image", "peak_lr_text"):
-            if not 0.0 <= getattr(self, key) < math.inf:
-                raise ContractError(f"{key} must be finite and >= 0, got {getattr(self, key)}")
-        for key in ("layer_decay_image", "layer_decay_text"):
-            if not 0.0 < getattr(self, key) <= 1.0:
-                raise ContractError(f"{key} must be in (0, 1], got {getattr(self, key)}")
-        if not 0.0 < self.crop_scale_lo <= self.crop_scale_hi <= 1.0:
-            raise ContractError(f"need 0 < crop_scale_lo <= crop_scale_hi <= 1, "
-                                f"got {self.crop_scale_lo}, {self.crop_scale_hi}")
-        # Schedule checks warmup_steps, total_steps and schedule_shape; MaskSpec mask_ratio;
-        # TokenizerSpec text_context_length
-        self.schedule
-        MaskSpec(self.mask_ratio)
-        TokenizerSpec(self.model.text.context_length)
+    __post_init__ = check  # so a value outside its domain fails before a run directory exists
 
     @property
     def schedule(self) -> Schedule:
@@ -146,6 +118,7 @@ _CONFIG_TYPES = {(): TrainConfig, **{p: t for p, t, _ in _SCHEMA if is_dataclass
 _FLAT_KEYS = [(_LEGACY_KEYS.get(".".join(p), "_".join(p[-2:])), p, t, required)
               for p, t, required in _SCHEMA if not is_dataclass(t)]
 _GETTERS = [(key, attrgetter(".".join(p))) for key, p, _, _ in _FLAT_KEYS]
+_KEY = {p: key for key, p, _, _ in _FLAT_KEYS}  # flat key of each leaf's attribute path
 
 
 def coerce(kind: type, value, what: str):
@@ -173,7 +146,10 @@ def _build(path: tuple[str, ...], values: dict):
             kwargs[f.name] = _build(sub, values)
         elif sub in values:
             kwargs[f.name] = values[sub]
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except (ContractError, DimensionError) as err:  # raised by domains.check
+        raise type(err)("config key " + err.render(*(_KEY[path + (n,)] for n in err.fields))) from None
 
 
 @dataclass
@@ -263,11 +239,11 @@ class Trainer:
     """Owns model, optimizer, scaler, and counters for one training run."""
 
     def __init__(self, cfg: TrainConfig, corpus: Corpus, run_dir: Path | None = None):
-        if cfg.model.text.vocab_size != VOCAB_SIZE:
-            raise InputError(
-                f"byte tokenizer emits ids < {VOCAB_SIZE}; text vocab_size is "
-                f"{cfg.model.text.vocab_size} (use a desk-scale text config for training)"
-            )
+        for path, need in ((("model", "text", "vocab_size"), VOCAB_SIZE),  # ids the byte tokenizer emits
+                           (("model", "image", "channels"), corpus.manifest["channels"]),
+                           (("model", "image", "image_size"), corpus.manifest["image_size"])):
+            if (have := attrgetter(".".join(path))(cfg)) != need:
+                raise InputError(f"config key {_KEY[path]}: {have} does not fit the data's {need}")
         self.cfg = cfg
         self.corpus = corpus
         self.run_dir = Path(run_dir) if run_dir is not None else None
@@ -287,6 +263,8 @@ class Trainer:
         self.opt = Optimizer(self.model.trainable(), build_param_groups(self.model, cfg), cfg.optimizer)
         self.scaler = LossScalerState(scale=cfg.scale_init,
                                       growth_interval=cfg.scale_growth_interval)
+        self.schedule = cfg.schedule
+        self.mask = MaskSpec(cfg.mask_ratio) if cfg.mask_ratio > 0 else None
         self.rng_step = np.random.default_rng(step_ss)
         self.schedule_step = 0
         self.attempted = 0
@@ -306,16 +284,15 @@ class Trainer:
                 random_resized_crop(img, (cfg.crop_scale_lo, cfg.crop_scale_hi), self.rng_step)
                 for img in images
             ])
-        mask = MaskSpec(cfg.mask_ratio) if cfg.mask_ratio > 0 else None
         patches = cfg.model.image.n_patches
-        image_tokens = 1 + (mask.kept_count(patches) if mask is not None else patches)
-        img_emb = self.model.encode_image(images, mask=mask, rng=self.rng_step)
+        image_tokens = 1 + (self.mask.kept_count(patches) if self.mask is not None else patches)
+        img_emb = self.model.encode_image(images, mask=self.mask, rng=self.rng_step)
         txt_emb = self.model.encode_text(batch.token_ids)
         loss = clip_loss(similarity_logits(img_emb, txt_emb, self.model.logit_scale))
         loss_value = loss.item()
 
         T.backward(T.mul(loss, Tensor(np.float32(self.scaler.scale))))
-        group_lrs = {g.name: lr_at(cfg.schedule, g.peak_lr, self.schedule_step)
+        group_lrs = {g.name: lr_at(self.schedule, g.peak_lr, self.schedule_step)
                      for g in self.opt.groups}
         overflow = not self.opt.step(group_lrs, self.scaler.scale)
         if not overflow:

@@ -1,14 +1,21 @@
+import io
 import json
+import math
+import re
+import string
+from contextlib import redirect_stderr
 from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deskclip.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from deskclip.cli import apply_overrides, format_config, new_run_dir, parse_config_file, run
 from deskclip.encoders import ImageEncoderConfig, ModelConfig, TextEncoderConfig
-from deskclip.errors import InputError
+from deskclip.errors import ContractError, DimensionError, InputError
 from deskclip.model import preset
 from deskclip.optim import OptimizerConfig
 from deskclip.trainer import StepRecord, TrainConfig
@@ -76,7 +83,8 @@ class TestConfigFile:
         p.write_text(format_config(flat, overrides=["beta=x"]))
         assert parse_config_file(p) == flat
 
-    @pytest.mark.parametrize("value", ["data#2/manifest.json", "data\n2"], ids=["hash", "newline"])
+    @pytest.mark.parametrize("value", ["data#2/manifest.json", "data\n2", " a b ", "a ", "data\x0c2"],
+                             ids=["hash", "newline", "outer-spaces", "trailing-space", "form-feed"])
     def test_format_rejects_values_it_cannot_read_back(self, value):
         with pytest.raises(InputError, match="data_manifest"):
             format_config({"batch_size": 4, "data_manifest": value})
@@ -95,6 +103,45 @@ def leaves(obj, path=()):
             yield from leaves(value, path + (f.name,))
         else:
             yield path + (f.name,), f, value
+
+
+def keyed_leaves(cfg):
+    """``(flat key, field, value)`` per leaf of ``cfg``: ``to_flat`` walks the
+    fields in the same depth-first order as ``leaves``."""
+    out = [(key, f, value) for key, (_, f, value) in zip(cfg.to_flat(), leaves(cfg))]
+    assert all(key.endswith(f.name) for key, f, _ in out)
+    return out
+
+
+def interval(domain):
+    """``(lo, lo open, hi, hi open)`` of an interval domain such as "(0, 1]"."""
+    lo, hi = (float(end) for end in domain[1:-1].split(","))
+    return lo, domain[0] == "(", hi, domain[-1] == ")"
+
+
+def inside(domain, kind):
+    """Values of type ``kind`` in ``domain``; any value when it is None."""
+    if isinstance(domain, tuple):
+        return st.sampled_from(domain)
+    if domain is None:
+        return st.booleans() if kind is bool else st.text()
+    lo, lo_open, hi, hi_open = interval(domain)
+    if kind is int:  # every int domain is [lo, inf)
+        return st.integers(min_value=int(lo))
+    return st.floats(min_value=lo, max_value=hi if hi < math.inf else None, exclude_min=lo_open,
+                     exclude_max=hi_open and hi < math.inf, allow_nan=False, allow_infinity=False)
+
+
+def just_outside(domain, kind):
+    """Values of type ``kind`` just past an end of ``domain``, NaN, or an unknown choice."""
+    if isinstance(domain, tuple):
+        return st.text(string.ascii_lowercase + "-", min_size=1).filter(lambda w: w not in domain)
+    lo, lo_open, hi, hi_open = interval(domain)
+    if kind is int:
+        return st.just(int(lo) - 1)
+    below = lo if lo_open else math.nextafter(lo, -math.inf)
+    above = hi if hi_open else math.nextafter(hi, math.inf)
+    return st.sampled_from([below, above, math.nan])
 
 
 class TestConfigSchema:
@@ -138,6 +185,34 @@ class TestConfigSchema:
         cfg = TrainConfig.from_flat(parse_config_file(CONFIG_DIR / name))
         body = [line for line in text.splitlines() if not line.startswith("#")]
         assert body == format_config(cfg.to_flat()).splitlines()
+
+    def test_every_leaf_but_flags_and_paths_declares_a_domain(self):
+        free = [key for key, f, _ in keyed_leaves(self.OFF_DEFAULT) if "domain" not in f.metadata]
+        assert sorted(free) == ["augment", "data_manifest", "init_checkpoint", "init_strict"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_drawn_config_round_trips_or_is_refused_by_key(self, tmp_path_factory, data):
+        leaves_by_key = {key: (f, value) for key, f, value in keyed_leaves(self.OFF_DEFAULT)}
+        drawn = data.draw(st.lists(st.sampled_from(sorted(leaves_by_key)), max_size=4, unique=True))
+        flat = self.OFF_DEFAULT.to_flat()
+        for key in drawn:
+            f, value = leaves_by_key[key]
+            flat[key] = data.draw(inside(f.metadata.get("domain"), type(value)), label=key)
+        try:
+            cfg = TrainConfig.from_flat(flat)
+        except (ContractError, DimensionError) as err:  # the draw broke a relation between two keys
+            assert re.search(r" (is not divisible by|exceeds) \w+ ", str(err))
+            return
+        try:
+            text = format_config(cfg.to_flat())
+        except InputError as err:
+            key = re.match(r"config key (\w+):", str(err)).group(1)
+            assert key in drawn and isinstance(flat[key], str)
+            return
+        path = tmp_path_factory.getbasetemp() / "drawn.cfg"
+        path.write_text(text)
+        assert TrainConfig.from_flat(parse_config_file(path)) == cfg
 
 
 class TestEndToEnd:
@@ -227,14 +302,40 @@ class TestEndToEnd:
                                       "scale_init=inf", "peak_lr_text=nan", "peak_lr_image=-1",
                                       "peak_lr_image=inf", "warmup_steps=-3",
                                       "layer_decay_image=0", "layer_decay_text=1.5",
-                                      "layer_decay_text=nan"])
+                                      "layer_decay_text=nan", "image_layers=-1", "text_layers=-1",
+                                      "embed_dim=-5", "image_width=0", "text_width=0",
+                                      "image_channels=1", "image_size=16", "beta1=1.0",
+                                      "optimizer_eps=0", "weight_decay=-1", "image_width=65",
+                                      "image_size=30", "warmup_steps=0 total_steps=0",
+                                      "text_vocab_size=0"])
     def test_invariant_violation_names_field(self, workspace, tmp_path, capsys, pair):
-        # rejected while the config is built, so no run directory is left behind
+        # rejected before a run directory exists, naming the last pair's key
+        # (65 is not a multiple of the tiny preset's 2 image heads)
+        sets = [arg for p in pair.split() for arg in ("--set", p)]
         code = run(["--run-root", str(tmp_path / "runs"), "train",
-                    "--config", str(workspace / "train.cfg"), "--set", pair])
+                    "--config", str(workspace / "train.cfg"), *sets])
         assert code == 2
-        assert pair.split("=")[0] in capsys.readouterr().err
+        assert f"config key {pair.split()[-1].split('=')[0]}:" in capsys.readouterr().err
         assert list((tmp_path / "runs").glob("train-*")) == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_value_just_outside_its_domain_names_the_key(self, workspace, data):
+        flat = parse_config_file(workspace / "train.cfg")
+        declared = [(key, f.metadata["domain"], type(value))
+                    for key, f, value in keyed_leaves(TrainConfig.from_flat(flat))
+                    if "domain" in f.metadata]
+        key, domain, kind = data.draw(st.sampled_from(declared), label="leaf")
+        value = data.draw(just_outside(domain, kind), label="value")
+        with pytest.raises((ContractError, DimensionError), match=rf"^config key {key}: "):
+            TrainConfig.from_flat({**flat, key: str(value)})
+        if data.draw(st.integers(0, 4), label="through train") == 0:
+            root, err = workspace / "runs-outside", io.StringIO()
+            with redirect_stderr(err):
+                code = run(["--run-root", str(root), "train", "--config", str(workspace / "train.cfg"),
+                            "--set", f"{key}={value}"])
+            assert code == 2 and err.getvalue().startswith(f"error: config key {key}: ")
+            assert list(root.glob("train-*")) == []
 
     def test_unwritable_config_leaves_no_run_dir(self, workspace, tmp_path, capsys):
         (tmp_path / "data#2").symlink_to(workspace / "data")

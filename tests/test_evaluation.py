@@ -210,6 +210,11 @@ class TestRecallAtK:
         with pytest.raises(InputError, match="query 2.*gallery of 3"):
             recall_at_k(np.eye(3), np.eye(3), [[0], [1], [bad]])
 
+    @pytest.mark.parametrize("ks, bad", [([0, -1, 1], 0), ((1, -1), -1)])
+    def test_k_below_one_named(self, ks, bad):
+        with pytest.raises(InputError, match=f"k = {bad}$"):
+            recall_at_k(np.eye(3), np.eye(3), [[0], [1], [2]], ks=ks)
+
     @pytest.mark.parametrize("bad", [-1, 7, 3])
     def test_caption_outside_gallery_named(self, bad):
         with pytest.raises(InputError, match=f"caption 2 maps to image {bad}.*gallery of 3"):

@@ -3,6 +3,7 @@ import json
 import math
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,11 +12,11 @@ from deskclip import model as model_module
 from deskclip import tensor as T
 from deskclip import trainer as trainer_module
 from deskclip.checkpoint import load_checkpoint
-from deskclip.data import Batch, CorpusSpec, generate_corpus, load_corpus
-from deskclip.encoders import ImageEncoderConfig, ModelConfig, TextEncoderConfig, assign_depth
+from deskclip.data import Batch, CorpusSpec, TokenizerSpec, generate_corpus, load_corpus
+from deskclip.encoders import ImageEncoderConfig, MaskSpec, ModelConfig, TextEncoderConfig, assign_depth
 from deskclip.errors import DimensionError, DivergenceError, InputError
 from deskclip.model import ClipModel, MAX_LOG_SCALE, preset
-from deskclip.optim import OptimizerConfig, layer_scales, lr_at
+from deskclip.optim import OptimizerConfig, Schedule, layer_scales, lr_at
 from deskclip.trainer import (
     TrainConfig,
     Trainer,
@@ -372,6 +373,28 @@ class TestConfig:
         cfg = tiny_cfg(model=preset("B/16"))
         with pytest.raises(InputError):
             Trainer(cfg, corpus)
+
+    @pytest.mark.parametrize("field, value, key", [("channels", 1, "image_channels"),
+                                                   ("image_size", 16, "image_size")])
+    def test_image_shape_must_fit_the_corpus(self, corpus, tmp_path, field, value, key):
+        tiny = preset("tiny")
+        cfg = tiny_cfg(model=replace(tiny, image=replace(tiny.image, **{field: value})))
+        with pytest.raises(InputError, match=rf"^config key {key}: {value} does not fit the data's "
+                                             rf"{corpus.manifest[field]}$"):
+            Trainer(cfg, corpus, run_dir=tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
+    def test_a_step_builds_no_config(self, corpus, monkeypatch):
+        # the schedule and the mask are built once, by the trainer
+        trainer = Trainer(tiny_cfg(mask_ratio=0.5), corpus)
+
+        def refuse(self):
+            raise AssertionError(f"{type(self).__name__} built during a step")
+
+        for cls in (Schedule, MaskSpec, TokenizerSpec):
+            monkeypatch.setattr(cls, "__post_init__", refuse)
+        for _ in range(2):
+            trainer.train_step(trainer.stream.batch_at(trainer.attempted, 4))
 
 
 class TestParamGroups:
