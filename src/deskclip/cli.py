@@ -17,7 +17,7 @@ from typing import get_args, get_origin, get_type_hints
 
 from .checkpoint import load_checkpoint
 from .data import Corpus, CorpusSpec, generate_corpus, load_corpus
-from .errors import DeskclipError, InputError
+from .errors import ContractError, DeskclipError, DimensionError, InputError
 from .evaluation import evaluate
 from .model import ClipModel
 from .trainer import (
@@ -109,8 +109,12 @@ def read_corpus_spec(path: str | Path) -> CorpusSpec:
         if key not in spec and f.default is MISSING:
             raise InputError(f"{path}: corpus spec key {key!r} is required")
     hints = get_type_hints(CorpusSpec)
-    return CorpusSpec(**{key: _json_value(hints[key], value, f"{path}: corpus spec key {key!r}")
-                         for key, value in spec.items()})
+    values = {key: _json_value(hints[key], value, f"{path}: corpus spec key {key!r}")
+              for key, value in spec.items()}
+    try:
+        return CorpusSpec(**values)
+    except (ContractError, DimensionError) as err:  # raised by domains.check
+        raise type(err)(f"{path}: corpus spec key " + err.render(*map(repr, err.fields))) from None
 
 
 def _json_value(kind: type, value, what: str):

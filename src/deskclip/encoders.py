@@ -16,6 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -96,104 +99,90 @@ class EmbeddingOutput:
 # -- parameter tables ---------------------------------------------------------
 
 
-def _block_shapes(width: int) -> dict[str, tuple[int, ...]]:
-    hidden = 4 * width
-    return {
-        "norm1.gain": (width,),
-        "norm1.bias": (width,),
-        "attn.q.weight": (width, width),
-        "attn.q.bias": (width,),
-        "attn.k.weight": (width, width),
-        "attn.k.bias": (width,),
-        "attn.v.weight": (width, width),
-        "attn.v.bias": (width,),
-        "attn.proj.weight": (width, width),
-        "attn.proj.bias": (width,),
-        "norm2.gain": (width,),
-        "norm2.bias": (width,),
-        "mlp.fc.weight": (width, hidden),
-        "mlp.fc.bias": (hidden,),
-        "mlp.proj.weight": (hidden, width),
-        "mlp.proj.bias": (width,),
-    }
+class Param(NamedTuple):
+    """A parameter's role, declared once: its shape, its initialiser (a normal's std, or
+    ``np.ones``/``np.zeros``) and its LR-decay depth (0 embeddings, i + 1 block i, layers + 1 head)."""
+    shape: tuple[int, ...]
+    init: float | Callable
+    depth: int
+
+    def draw(self, rng: np.random.Generator) -> np.ndarray:
+        if callable(self.init):
+            return self.init(self.shape, dtype=np.float32)
+        return (rng.standard_normal(self.shape) * self.init).astype(np.float32)
+
+
+def _linear_rows(name: str, fan_in: int, fan_out: int, std: float) -> dict[str, tuple]:
+    return {f"{name}.weight": ((fan_in, fan_out), std), f"{name}.bias": ((fan_out,), np.zeros)}
+
+
+def _norm_rows(name: str, width: int) -> dict[str, tuple]:
+    return {f"{name}.gain": ((width,), np.ones), f"{name}.bias": ((width,), np.zeros)}
+
+
+def _tower_table(cfg: ImageEncoderConfig | TextEncoderConfig, embeddings: dict[str, tuple],
+                 head: dict[str, tuple]) -> Mapping[str, Param]:
+    """``embeddings`` at depth 0, ``cfg.layers`` pre-norm blocks with CLIP's depth-scaled normals,
+    then ``head`` at depth layers + 1; read-only, as each config's table is built once and shared."""
+    table = {name: Param(shape, init, 0) for name, (shape, init) in embeddings.items()}
+    width, layers = cfg.width, cfg.layers
+    if layers:  # the residual projections' std is defined for one block or more
+        std, proj_std = width**-0.5, width**-0.5 * (2 * layers) ** -0.5
+        block = {**_norm_rows("norm1", width), **_linear_rows("attn.q", width, width, std),
+                 **_linear_rows("attn.k", width, width, std), **_linear_rows("attn.v", width, width, std),
+                 **_linear_rows("attn.proj", width, width, proj_std), **_norm_rows("norm2", width),
+                 **_linear_rows("mlp.fc", width, 4 * width, (2 * width) ** -0.5),
+                 **_linear_rows("mlp.proj", 4 * width, width, proj_std)}
+        for i in range(layers):
+            table.update({f"blocks.{i}.{name}": Param(shape, init, i + 1)
+                          for name, (shape, init) in block.items()})
+    table.update({name: Param(shape, init, layers + 1) for name, (shape, init) in head.items()})
+    return MappingProxyType(table)
+
+
+@cache  # every encode_image checks its parameters against the table
+def image_param_table(cfg: ImageEncoderConfig, embed_dim: int) -> Mapping[str, Param]:
+    return _tower_table(cfg, {
+        **_linear_rows("patch_embed", cfg.channels * cfg.patch_size**2, cfg.width, 0.02),
+        "cls_token": ((cfg.width,), 0.02),
+        "pos_embed": ((1 + cfg.n_patches, cfg.width), 0.02),
+    }, {**_norm_rows("final_norm", cfg.width), "proj": ((cfg.width, embed_dim), cfg.width**-0.5)})
+
+
+@cache
+def text_param_table(cfg: TextEncoderConfig, embed_dim: int) -> Mapping[str, Param]:
+    return _tower_table(cfg, {
+        "token_embed.weight": ((cfg.vocab_size, cfg.width), 0.02),
+        "pos_embed": ((cfg.context_length, cfg.width), 0.02),
+    }, {"proj": ((cfg.width, embed_dim), cfg.width**-0.5)})
+
+
+def param_tables(cfg: ModelConfig) -> dict[str, Mapping[str, Param]]:
+    """Each tower's table, keyed by the tower's parameter-name prefix."""
+    return {"image": image_param_table(cfg.image, cfg.embed_dim),
+            "text": text_param_table(cfg.text, cfg.embed_dim)}
 
 
 def image_param_shapes(cfg: ImageEncoderConfig, embed_dim: int) -> dict[str, tuple[int, ...]]:
-    shapes: dict[str, tuple[int, ...]] = {
-        "patch_embed.weight": (cfg.channels * cfg.patch_size**2, cfg.width),
-        "patch_embed.bias": (cfg.width,),
-        "cls_token": (cfg.width,),
-        "pos_embed": (1 + cfg.n_patches, cfg.width),
-    }
-    for i in range(cfg.layers):
-        for name, shape in _block_shapes(cfg.width).items():
-            shapes[f"blocks.{i}.{name}"] = shape
-    shapes["final_norm.gain"] = (cfg.width,)
-    shapes["final_norm.bias"] = (cfg.width,)
-    shapes["proj"] = (cfg.width, embed_dim)
-    return shapes
+    return {name: row.shape for name, row in image_param_table(cfg, embed_dim).items()}
 
 
 def text_param_shapes(cfg: TextEncoderConfig, embed_dim: int) -> dict[str, tuple[int, ...]]:
-    shapes: dict[str, tuple[int, ...]] = {
-        "token_embed.weight": (cfg.vocab_size, cfg.width),
-        "pos_embed": (cfg.context_length, cfg.width),
-    }
-    for i in range(cfg.layers):
-        for name, shape in _block_shapes(cfg.width).items():
-            shapes[f"blocks.{i}.{name}"] = shape
-    shapes["proj"] = (cfg.width, embed_dim)
-    return shapes
+    return {name: row.shape for name, row in text_param_table(cfg, embed_dim).items()}
 
 
 def count_params(cfg: ModelConfig) -> int:
     """Trainable scalars in both towers plus the logit scale."""
-    image = sum(int(np.prod(s)) for s in image_param_shapes(cfg.image, cfg.embed_dim).values())
-    text = sum(int(np.prod(s)) for s in text_param_shapes(cfg.text, cfg.embed_dim).values())
-    return image + text + 1
+    return sum(math.prod(row.shape) for table in param_tables(cfg).values() for row in table.values()) + 1
 
 
-def init_tower_params(
-    shapes: dict[str, tuple[int, ...]], layers: int, width: int, rng: np.random.Generator
-) -> dict[str, Tensor]:
-    """Fresh parameters; scheme follows the usual CLIP depth-scaled normals."""
-    attn_std = width**-0.5
-    proj_std = (width**-0.5) * ((2 * layers) ** -0.5) if layers else width**-0.5
-    fc_std = (2 * width) ** -0.5
-    params: dict[str, Tensor] = {}
-    for name, shape in shapes.items():
-        if name.endswith(("norm1.gain", "norm2.gain", "final_norm.gain")):
-            data = np.ones(shape, dtype=np.float32)
-        elif name.endswith(".bias"):
-            data = np.zeros(shape, dtype=np.float32)
-        elif name in ("cls_token", "pos_embed", "token_embed.weight", "patch_embed.weight"):
-            data = (rng.standard_normal(shape) * 0.02).astype(np.float32)
-        elif ".attn.proj." in name or ".mlp.proj." in name:
-            data = (rng.standard_normal(shape) * proj_std).astype(np.float32)
-        elif ".mlp.fc." in name:
-            data = (rng.standard_normal(shape) * fc_std).astype(np.float32)
-        else:  # q/k/v weights and the output projection
-            data = (rng.standard_normal(shape) * attn_std).astype(np.float32)
-        params[name] = Tensor(data, requires_grad=True)
-    return params
-
-
-def validate_params(shapes: dict[str, tuple[int, ...]], params: dict[str, Tensor], tower: str) -> None:
-    for name, shape in shapes.items():
+def validate_params(table: Mapping[str, Param], params: dict[str, Tensor], tower: str) -> None:
+    for name, row in table.items():
         if name not in params:
             raise DimensionError(f"{tower}.{name}: parameter missing")
         got = params[name].shape
-        if tuple(got) != tuple(shape):
-            raise DimensionError(f"{tower}.{name}: expected shape {shape}, got {got}")
-
-
-def assign_depth(name: str, layers: int) -> int:
-    """Depth index used for layer-wise LR decay: 0 = embeddings, layers+1 = head."""
-    if name.startswith("blocks."):
-        return int(name.split(".")[1]) + 1
-    if name.startswith(("final_norm.", "proj")):
-        return layers + 1
-    return 0
+        if tuple(got) != row.shape:
+            raise DimensionError(f"{tower}.{name}: expected shape {row.shape}, got {got}")
 
 
 # -- ops ------------------------------------------------------------------------
@@ -227,7 +216,7 @@ def interpolate_pos_embed(pos: Tensor, new_grid: int) -> Tensor:
     The class-token row (index 0) is copied through unchanged.
     """
     rows, d = pos.shape
-    g = math.isqrt(rows - 1)
+    g = math.isqrt(max(rows - 1, 0))
     if g * g != rows - 1:
         raise DimensionError(f"positional table has {rows - 1} grid rows, not a perfect square")
     if new_grid == g:
@@ -345,7 +334,7 @@ def encode_image(
     ``mask`` and ``rng`` are training-only arguments; evaluation callers leave
     them None and get a deterministic forward pass without masking or drop path.
     """
-    validate_params(image_param_shapes(cfg, embed_dim), params, "image")
+    validate_params(image_param_table(cfg, embed_dim), params, "image")
     x = Tensor(images, dtype=params["patch_embed.weight"].dtype)
     if x.ndim != 4 or x.shape[1] != cfg.channels or x.shape[2:] != (cfg.image_size, cfg.image_size):
         raise DimensionError(
@@ -396,7 +385,7 @@ def encode_text(
     bad = np.nonzero(eos_counts != 1)[0]
     if bad.size:
         raise InputError(f"row {int(bad[0])} has {int(eos_counts[bad[0]])} end-of-sequence tokens, expected 1")
-    validate_params(text_param_shapes(cfg, embed_dim), params, "text")
+    validate_params(text_param_table(cfg, embed_dim), params, "text")
 
     # causal attention: positions after the batch's last EOS never reach a pooled row
     eos_pos = np.argmax(ids == cfg.eos_id, axis=1).reshape(b, 1)

@@ -15,9 +15,7 @@ from .encoders import (
     TextEncoderConfig,
     encode_image,
     encode_text,
-    image_param_shapes,
-    init_tower_params,
-    text_param_shapes,
+    param_tables,
 )
 from .tensor import Tensor
 
@@ -33,15 +31,8 @@ class ClipModel:
     @classmethod
     def init(cls, cfg: ModelConfig, seed: int | np.random.Generator = 0) -> "ClipModel":
         rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-        params: dict[str, Tensor] = {}
-        image = init_tower_params(image_param_shapes(cfg.image, cfg.embed_dim),
-                                  cfg.image.layers, cfg.image.width, rng)
-        for name, p in image.items():
-            params[f"image.{name}"] = p
-        text = init_tower_params(text_param_shapes(cfg.text, cfg.embed_dim),
-                                 cfg.text.layers, cfg.text.width, rng)
-        for name, p in text.items():
-            params[f"text.{name}"] = p
+        params = {f"{tower}.{name}": Tensor(row.draw(rng), requires_grad=True)
+                  for tower, table in param_tables(cfg).items() for name, row in table.items()}
         params["logit_scale"] = Tensor(np.array([LOG_SCALE_INIT], dtype=np.float32), requires_grad=True)
         return cls(cfg, params)
 

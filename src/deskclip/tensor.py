@@ -118,9 +118,6 @@ class Tensor:
     def __mul__(self, other):
         return mul(self, _as_tensor(other, self))
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def _as_tensor(value, like: Tensor) -> Tensor:
     if isinstance(value, Tensor):

@@ -18,7 +18,7 @@ from . import tensor as T
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .data import PAD_ID, VOCAB_SIZE, Batch, BatchStream, Corpus, TokenizerSpec, random_resized_crop
 from .domains import check, within
-from .encoders import MaskSpec, ModelConfig, assign_depth, interpolate_pos_embed
+from .encoders import MaskSpec, ModelConfig, interpolate_pos_embed, param_tables
 from .errors import ContractError, DimensionError, DivergenceError, InputError
 from .model import MAX_LOG_SCALE, ClipModel
 from .objective import clamp_scale, clip_loss, similarity_logits
@@ -122,7 +122,8 @@ _KEY = {p: key for key, p, _, _ in _FLAT_KEYS}  # flat key of each leaf's attrib
 
 
 def coerce(kind: type, value, what: str):
-    """``value`` as a ``kind``; raises ``InputError`` naming ``what`` if it is none."""
+    """``value`` as a ``kind``; raises ``InputError`` naming ``what`` if it is none.
+    A string parses; any other value must convert to an equal one (a bool is no number)."""
     if kind is bool:
         if isinstance(value, bool):
             return value
@@ -131,9 +132,12 @@ def coerce(kind: type, value, what: str):
             raise InputError(f"{what}: {value!r} is not a boolean (true/false, yes/no, 1/0)")
         return word in _TRUE
     try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise InputError(f"{what}: {value!r} is not a valid {kind.__name__}") from None
+        out = kind(value)
+        if isinstance(value, str) or (not isinstance(value, bool) and out == value):
+            return out
+    except (TypeError, ValueError, OverflowError):  # int(inf), float(10**400)
+        pass
+    raise InputError(f"{what}: {value!r} is not a valid {kind.__name__}")
 
 
 def _build(path: tuple[str, ...], values: dict):
@@ -190,48 +194,41 @@ def init_from_checkpoint(model: ClipModel, ckpt: Checkpoint, policy: str = "perm
     if policy not in ("permissive", "strict"):
         raise ContractError(f"unknown init policy {policy!r}")
     report = LoadReport()
-    consumed = set()
     for name, param in model.params.items():
-        selected = any(name == t or name.startswith(t + ".") for t in towers)
-        if not selected:
+        if not any(name == t or name.startswith(t + ".") for t in towers):
             report.missing.append(name)
             continue
         src = ckpt.tensors.get(name)
         if src is not None and tuple(src.shape) == tuple(param.shape):
             param.data = src.astype(np.float32)
             report.loaded.append(name)
-            consumed.add(name)
             continue
         if (src is not None and name == "image.pos_embed"
-                and src.ndim == 2 and param.ndim == 2 and src.shape[1] == param.shape[1]):
-            src_grid = math.isqrt(src.shape[0] - 1)
-            dst_grid = math.isqrt(param.shape[0] - 1)
-            if src_grid**2 == src.shape[0] - 1 and dst_grid**2 == param.shape[0] - 1:
-                param.data = interpolate_pos_embed(Tensor(src.astype(np.float32)), dst_grid).data
+                and src.ndim == 2 and src.shape[1] == param.shape[1]):
+            try:
+                param.data = interpolate_pos_embed(Tensor(src.astype(np.float32)), model.cfg.image.grid).data
                 report.resampled.append(name)
-                consumed.add(name)
                 continue
+            except DimensionError:  # not a square grid: left fresh, or refused below
+                pass
         if policy == "strict":
             got = None if src is None else tuple(src.shape)
-            raise DimensionError(
-                f"{name}: checkpoint has {got}, model needs {tuple(param.shape)}"
-            )
+            raise DimensionError(f"{name}: checkpoint has {got}, model needs {tuple(param.shape)}")
         report.missing.append(name)
-    report.unused = sorted(set(ckpt.tensors) - consumed)
+    report.unused = sorted(set(ckpt.tensors).difference(report.loaded, report.resampled))
     return report
 
 
 def build_param_groups(model: ClipModel, cfg: TrainConfig) -> list[ParamGroup]:
-    """One group per tower, each member's LR scaled by layer-wise decay of its
-    depth, and an unscaled group for the logit scale."""
-    groups = []
+    """One group per tower, each member's LR scaled by layer-wise decay of the
+    depth its table declares, and an unscaled group for the logit scale."""
+    groups, tables = [], param_tables(model.cfg)
     for tower, peak_lr, decay, layers in (
-            ("image", cfg.peak_lr_image, cfg.layer_decay_image, cfg.model.image.layers),
-            ("text", cfg.peak_lr_text, cfg.layer_decay_text, cfg.model.text.layers)):
+            ("image", cfg.peak_lr_image, cfg.layer_decay_image, model.cfg.image.layers),
+            ("text", cfg.peak_lr_text, cfg.layer_decay_text, model.cfg.text.layers)):
         scales = layer_scales(decay, layers)
-        names = [n for n in model.trainable() if n.startswith(tower + ".")]
-        groups.append(ParamGroup(tower, names, peak_lr, {
-            n: float(scales[assign_depth(n[len(tower) + 1:], layers)]) for n in names}))
+        lr_scales = {f"{tower}.{name}": float(scales[row.depth]) for name, row in tables[tower].items()}
+        groups.append(ParamGroup(tower, list(lr_scales), peak_lr, lr_scales))
     return groups + [ParamGroup("logit_scale", ["logit_scale"], cfg.peak_lr_text)]
 
 

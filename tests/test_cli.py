@@ -404,8 +404,11 @@ class TestRejectedInputs:
         ('{"num_classes": 8, "samples_per_class": 2.5}', "corpus spec key 'samples_per_class': 2.5"),
         ('{"num_classes": 8, "samples_per_class": 2, "caption_templates": "a {}"}',
          "corpus spec key 'caption_templates': 'a {}'"),
+        ('{"num_classes": 1, "samples_per_class": 2}', "corpus spec key 'num_classes': 1 is not in [2, inf)"),
+        ('{"num_classes": 8, "samples_per_class": 2, "image_size": 0}',
+         "corpus spec key 'image_size': 0 is not in [1, inf)"),
     ], ids=["unknown-key", "missing-key", "not-json", "not-object", "string-count", "fractional-count",
-            "templates-not-a-list"])
+            "templates-not-a-list", "one-class", "zero-image-size"])
     def test_bad_corpus_spec_names_file_and_key(self, tmp_path, capsys, text, match):
         (tmp_path / "spec.json").write_text(text)
         code = run(["gen-data", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "data")])
@@ -490,6 +493,16 @@ class TestRejectedCheckpoints:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "absent.bin" in err
         assert list((tmp_path / "runs").glob("train-*")) == []
+
+    @pytest.mark.parametrize("key, value", [("batch_size", 2.5), ("seed", True), ("batch_size", math.inf)])
+    def test_eval_refuses_a_config_value_that_is_not_its_kind(self, trained, tmp_path, capsys, key, value):
+        metadata = {**trained.metadata, "config": {**trained.metadata["config"], key: value}}
+        save_checkpoint(tmp_path / "typed.bin", Checkpoint(trained.tensors, trained.optimizer, metadata))
+        code = run(["--run-root", str(tmp_path / "runs"), "eval", "--ckpt", str(tmp_path / "typed.bin")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"config key {key}: {value!r} is not a valid int" in err
+        assert list((tmp_path / "runs").glob("eval-*")) == []
 
     def test_eval_names_missing_config(self, trained, tmp_path, capsys):
         save_checkpoint(tmp_path / "bare.bin", Checkpoint(trained.tensors, trained.optimizer, {}))

@@ -12,16 +12,18 @@ from deskclip.encoders import (
     ModelConfig,
     TextEncoderConfig,
     _block,
-    _block_shapes,
     count_params,
     image_param_shapes,
     interpolate_pos_embed,
+    param_tables,
     patchify,
     sample_mask,
     text_param_shapes,
+    text_param_table,
 )
 from deskclip.errors import ContractError, DimensionError, InputError
 from deskclip.model import ClipModel, preset
+from deskclip.optim import default_decay_exempt
 from deskclip.tensor import Tensor
 
 PAD, BOS, EOS = 256, 257, 258
@@ -236,6 +238,15 @@ class TestInterpolatePosEmbed:
         assert out.dtype == np.float64 and out.shape == (1 + new_grid**2, 4)
 
 
+_ZERO_LAYERS = ModelConfig(
+    image=ImageEncoderConfig(layers=0, width=8, heads=2, image_size=16, patch_size=8),
+    text=TextEncoderConfig(layers=0, width=6, heads=2, vocab_size=11, context_length=5),
+    embed_dim=4,
+)
+_TABLE_CONFIGS = pytest.mark.parametrize("cfg", [preset("mini"), preset("tiny"), _ZERO_LAYERS],
+                                         ids=["mini", "tiny", "zero-layers"])
+
+
 class TestCountParams:
     @pytest.mark.parametrize("name,image_m,text_m", [("B/16", 86e6, 63e6), ("L/14", 304e6, 124e6)])
     def test_published_tower_counts_within_2_percent(self, name, image_m, text_m):
@@ -247,15 +258,31 @@ class TestCountParams:
         assert count_params(cfg) == image + text + 1
 
     def test_zero_layer_config_matches_hand_count(self):
-        cfg = ModelConfig(
-            image=ImageEncoderConfig(layers=0, width=8, heads=2, image_size=16, patch_size=8),
-            text=TextEncoderConfig(layers=0, width=6, heads=2, vocab_size=11, context_length=5),
-            embed_dim=4,
-        )
         n = 4  # patches
         image_hand = (3 * 64 * 8 + 8) + 8 + (1 + n) * 8 + 2 * 8 + 8 * 4
         text_hand = 11 * 6 + 5 * 6 + 6 * 4
-        assert count_params(cfg) == image_hand + text_hand + 1
+        assert count_params(_ZERO_LAYERS) == image_hand + text_hand + 1
+
+    @_TABLE_CONFIGS
+    def test_init_draws_what_each_row_declares(self, cfg):
+        model = ClipModel.init(cfg, 0)
+        tables = param_tables(cfg)
+        in_table_order = [f"{tower}.{name}" for tower, table in tables.items() for name in table]
+        assert list(model.params) == in_table_order + ["logit_scale"]
+        for tower, table in tables.items():
+            for name, row in table.items():
+                data = model.params[f"{tower}.{name}"].data
+                assert data.shape == row.shape and data.dtype == np.float32, name
+                if row.init is np.ones or row.init is np.zeros:
+                    np.testing.assert_array_equal(data, 1.0 if row.init is np.ones else 0.0, err_msg=name)
+                elif data.size >= 4096:  # the sample std's relative error is about 1 / sqrt(2 * size)
+                    assert abs(float(data.std()) / row.init - 1.0) < 0.05, name
+
+    @_TABLE_CONFIGS
+    def test_constant_rows_are_the_decay_exempt_names(self, cfg):
+        for tower, table in param_tables(cfg).items():
+            constant = [name for name, row in table.items() if row.init is np.ones or row.init is np.zeros]
+            assert constant == [name for name in table if default_decay_exempt(f"{tower}.{name}")]
 
 
 class TestConfigValidation:
@@ -316,8 +343,10 @@ def test_block_float32_gradients_match_float64_oracle(causal, rows):
     """One transformer block in float32 storage against its float64 copy."""
     rng = np.random.default_rng(11)
     width, heads = 16, 2
-    base = {f"blocks.0.{name}": rng.standard_normal(shape) * 0.3
-            for name, shape in _block_shapes(width).items()}
+    one_block = text_param_table(TextEncoderConfig(layers=1, width=width, heads=heads, vocab_size=2,
+                                                   context_length=2), width)
+    base = {name: rng.standard_normal(row.shape) * 0.3
+            for name, row in one_block.items() if name.startswith("blocks.0.")}
     x0 = rng.standard_normal((3, 5, width))
     proj = rng.standard_normal((3, 5 if rows is None else rows.shape[1], width))
 

@@ -8,7 +8,7 @@ import pytest
 from scipy.special import erf
 
 from deskclip import tensor as T
-from deskclip.encoders import _block, _block_shapes
+from deskclip.encoders import TextEncoderConfig, _block, text_param_table
 from deskclip.errors import ContractError, DimensionError
 from deskclip.tensor import Tensor
 
@@ -21,13 +21,13 @@ class TestMatmul:
     def test_hand_product(self):
         a = Tensor([[1.0, 2.0], [3.0, 4.0]])
         b = Tensor([[5.0, 6.0], [7.0, 8.0]])
-        np.testing.assert_allclose((a @ b).data, [[19.0, 22.0], [43.0, 50.0]])
+        np.testing.assert_allclose(T.matmul(a, b).data, [[19.0, 22.0], [43.0, 50.0]])
 
     def test_identity(self):
         rng = np.random.default_rng(0)
         a = rand_tensor(rng, (5, 5))
         eye = Tensor(np.eye(5))
-        np.testing.assert_allclose((a @ eye).data, a.data)
+        np.testing.assert_allclose(T.matmul(a, eye).data, a.data)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(1)
@@ -425,7 +425,8 @@ _TOK_IDX = np.array([[0, 2], [3, 1]])
 _TOK_IDX_REPEATED = np.array([[1, 1], [3, 0]])
 _TARGETS = np.array([2, 0, 4, 2])
 _POOLED_ROWS = np.array([[3], [1]])  # one row at the last position, one inside
-_BLOCK_SHAPES = _block_shapes(8)
+_ONE_BLOCK = text_param_table(TextEncoderConfig(layers=1, width=8, heads=2, vocab_size=2, context_length=2), 8)
+_BLOCK_SHAPES = {name: row.shape for name, row in _ONE_BLOCK.items() if name.startswith("blocks.0.")}
 
 
 def _pruned_causal_block(x, c):
@@ -434,7 +435,7 @@ def _pruned_causal_block(x, c):
     params, at = {}, 0
     for name, shape in _BLOCK_SHAPES.items():
         size = int(np.prod(shape))
-        params[f"blocks.0.{name}"] = _const(flat[at:at + size].reshape(shape), x)
+        params[name] = _const(flat[at:at + size].reshape(shape), x)
         at += size
     return _block(x, params, 0, heads=2, causal=True, rows=_POOLED_ROWS)
 

@@ -11,9 +11,9 @@ import pytest
 from deskclip import model as model_module
 from deskclip import tensor as T
 from deskclip import trainer as trainer_module
-from deskclip.checkpoint import load_checkpoint
+from deskclip.checkpoint import Checkpoint, load_checkpoint
 from deskclip.data import Batch, CorpusSpec, TokenizerSpec, generate_corpus, load_corpus
-from deskclip.encoders import ImageEncoderConfig, MaskSpec, ModelConfig, TextEncoderConfig, assign_depth
+from deskclip.encoders import ImageEncoderConfig, MaskSpec, ModelConfig, TextEncoderConfig, param_tables
 from deskclip.errors import DimensionError, DivergenceError, InputError
 from deskclip.model import ClipModel, MAX_LOG_SCALE, preset
 from deskclip.optim import OptimizerConfig, Schedule, layer_scales, lr_at
@@ -101,6 +101,20 @@ class TestInitFromCheckpoint:
         model = ClipModel.init(wider, 3)
         with pytest.raises(DimensionError, match="image."):
             init_from_checkpoint(model, load_checkpoint(path), policy="strict")
+
+    @pytest.mark.parametrize("rows", [1 + 15, 0], ids=["non-square-grid", "no-rows"])
+    def test_positional_table_without_a_square_grid_stays_fresh(self, rows):
+        model = ClipModel.init(preset("tiny"), 0)
+        tensors = {name: p.data.copy() for name, p in model.params.items()}
+        tensors["image.pos_embed"] = np.ones((rows, 64), dtype=np.float32)
+        fresh = ClipModel.init(preset("tiny"), 1)
+        before = fresh.params["image.pos_embed"].data.copy()
+        report = init_from_checkpoint(fresh, Checkpoint(tensors))
+        assert report.missing == ["image.pos_embed"] and report.unused == ["image.pos_embed"]
+        assert report.resampled == [] and len(report.loaded) == len(tensors) - 1
+        np.testing.assert_array_equal(fresh.params["image.pos_embed"].data, before)
+        with pytest.raises(DimensionError, match=r"image\.pos_embed"):
+            init_from_checkpoint(fresh, Checkpoint(tensors), policy="strict")
 
 
 class TestTrainStep:
@@ -399,20 +413,25 @@ class TestConfig:
 
 class TestParamGroups:
     def test_groups_partition_and_depths(self, corpus):
-        cfg = tiny_cfg()
+        cfg = tiny_cfg(layer_decay_text=0.6)
         model = ClipModel.init(cfg.model, 0)
-        groups = build_param_groups(model, cfg)
-        names = sorted(n for g in groups for n in g.member_names)
+        groups = {g.name: g for g in build_param_groups(model, cfg)}
+        names = sorted(n for g in groups.values() for n in g.member_names)
         assert names == sorted(model.params)
-        image = next(g for g in groups if g.name == "image")
-        layers = cfg.model.image.layers
-        scales = layer_scales(cfg.layer_decay_image, layers)
-        for name, depth in (("image.pos_embed", 0), ("image.blocks.1.mlp.fc.weight", 2),
-                            ("image.final_norm.gain", layers + 1)):
-            assert assign_depth(name[len("image."):], layers) == depth
-            assert image.lr_scales[name] == scales[depth]
-        scale_group = next(g for g in groups if g.name == "logit_scale")
-        assert scale_group.lr_scales.get("logit_scale", 1.0) == 1.0
+        tables = param_tables(cfg.model)
+        for tower, decay, layers, cases in (
+                ("image", cfg.layer_decay_image, cfg.model.image.layers,
+                 (("pos_embed", 0), ("blocks.1.mlp.fc.weight", 2), ("final_norm.gain", None))),
+                ("text", cfg.layer_decay_text, cfg.model.text.layers,
+                 (("token_embed.weight", 0), ("blocks.1.attn.q.bias", 2), ("blocks.1.norm2.gain", 2),
+                  ("proj", None)))):
+            scales = layer_scales(decay, layers)
+            for name, depth in cases:
+                depth = layers + 1 if depth is None else depth  # the head
+                assert tables[tower][name].depth == depth
+                assert groups[tower].lr_scales[f"{tower}.{name}"] == scales[depth]
+        assert "final_norm.gain" not in tables["text"]
+        assert groups["logit_scale"].lr_scales.get("logit_scale", 1.0) == 1.0
 
 
 class TestBench:
