@@ -33,13 +33,13 @@ with tempfile.TemporaryDirectory(prefix="deskclip-demo-") as tmp:
     # -- resume is bit-exact -----------------------------------------------------------
     half = Trainer(cfg, corpus)
     for _ in range(150):
-        half.train_step(half.stream.batch_at(half.attempted, cfg.batch_size))
+        half.step()
     ckpt_path = half.save(root / "halfway.bin")
 
     resumed = Trainer(cfg, corpus)
     resumed.resume(load_checkpoint(ckpt_path))
     for _ in range(150):
-        resumed.train_step(resumed.stream.batch_at(resumed.attempted, cfg.batch_size))
+        resumed.step()
 
     match = all(
         np.array_equal(p.data, resumed.model.params[n].data)

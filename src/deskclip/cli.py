@@ -172,12 +172,8 @@ def _cmd_eval(args) -> int:
     if not manifest:
         raise InputError("no data manifest: pass --data or use a checkpoint that records one")
     corpus = load_corpus(manifest)
-    class_names = Path(args.classes).read_text().splitlines() if args.classes else None
-    templates = Path(args.templates).read_text().splitlines() if args.templates else None
-    if class_names is not None:
-        class_names = [c for c in class_names if c.strip()]
-    if templates is not None:
-        templates = [t for t in templates if t.strip()]
+    class_names, templates = ([ln for ln in Path(path).read_text().splitlines() if ln.strip()]
+                              if path else None for path in (args.classes, args.templates))
     report = evaluate(model, corpus, templates=templates, class_names=class_names)
     run_dir = new_run_dir("eval", args.run_root)
     (run_dir / "report.json").write_text(report.to_json() + "\n")

@@ -38,6 +38,17 @@ def class_name(index: int) -> str:
     return _SYLLABLES[(index // 256) % 16] + _SYLLABLES[(index // 16) % 16] + _SYLLABLES[index % 16]
 
 
+def template_problem(templates) -> str | None:
+    """Why prompt or caption ``templates`` are not one or more that each take one class name, or None."""
+    for t in templates:
+        try:
+            t.format("")
+        except (AttributeError, IndexError, KeyError, ValueError) as err:
+            return (f"prompt template {t!r} does not take one positional class name "
+                    f"({type(err).__name__}: {err})")
+    return None if templates else "need at least one prompt template"
+
+
 # -- tokenizer -----------------------------------------------------------------
 
 
@@ -116,10 +127,10 @@ def read_shard(path: str | Path, image_shape: tuple[int, int, int] | None = None
 
 @dataclass(frozen=True)
 class CorpusSpec:
-    num_classes: int = within("[2, inf)")
+    num_classes: int = within("[2, 4096]")  # class_name repeats from 16^3 classes on
     samples_per_class: int = within("[0, inf)")
     image_size: int = within("[1, inf)", 32)
-    caption_templates: tuple[str, ...] = ("a photo of a {}",)
+    caption_templates: tuple[str, ...] = within(template_problem, ("a photo of a {}",))
     seed: int = within("[0, inf)", 0)
     eval_per_class: int = within("[0, inf)", 0)  # 0 means samples_per_class // 4, at least 1
     channels: int = within("[1, inf)", 3)
@@ -290,23 +301,15 @@ class BatchStream:
         self.records = records
         self.seed = seed
         self.token_ids = np.stack([tokenize(r.caption, tokenizer) for r in records])
-        self._perms: dict[int, np.ndarray] = {}  # only the epochs the latest batch spans
-
-    def _permutation(self, epoch: int) -> np.ndarray:
-        rng = np.random.default_rng(np.random.SeedSequence([self.seed, epoch]))
-        return rng.permutation(len(self.records))
 
     def indices_at(self, position: int, batch_size: int) -> np.ndarray:
+        """A slice of the concatenated permutations of the epochs the batch spans."""
         n = len(self.records)
-        epochs = range(position // n, (position + batch_size - 1) // n + 1)
-        self._perms = {e: self._perms[e] if e in self._perms else self._permutation(e) for e in epochs}
-        out = np.empty(batch_size, dtype=np.int64)
-        for i in range(batch_size):
-            g = position + i
-            out[i] = self._perms[g // n][g % n]
-        return out
+        perms = [np.random.default_rng(np.random.SeedSequence([self.seed, e])).permutation(n)
+                 for e in range(position // n, (position + batch_size - 1) // n + 1)]
+        return np.concatenate(perms)[position % n :][:batch_size]
 
     def batch_at(self, step: int, batch_size: int) -> Batch:
         idx = self.indices_at(step * batch_size, batch_size)
-        images = np.stack([to_float(self.records[i].image) for i in idx])
+        images = to_float(np.stack([self.records[i].image for i in idx]))
         return Batch(images=images, token_ids=self.token_ids[idx])

@@ -1,6 +1,6 @@
 """Config field domains, declared once beside each field, and the one checker
-that reads them. A domain is an interval such as "[0, 1)" or "(0, inf)", whose
-ends are open or closed and which never holds NaN, or a tuple of choices."""
+that reads them. A domain is an interval such as "[0, 1)" or "(0, inf)" (never holding
+NaN), a tuple of choices, or a function that names a value's fault or returns None."""
 
 import operator
 from dataclasses import MISSING, field, fields
@@ -16,17 +16,22 @@ RELATIONS = (
 )
 
 
-def within(domain: str | tuple, default=MISSING):
+def within(domain, default=MISSING):
     """A dataclass field whose values must lie in ``domain``."""
     return field(default=default, metadata={"domain": domain})
 
 
-def _admits(domain: str | tuple, value) -> bool:
+def _breach(domain, value) -> str | None:
+    """What puts ``value`` outside ``domain``, or None if it lies inside."""
+    if callable(domain):
+        return domain(value)
     if isinstance(domain, tuple):
-        return value in domain
-    lo, hi = (float(end) for end in domain[1:-1].split(","))
-    return (lo < value if domain[0] == "(" else lo <= value) and (
-        value < hi if domain[-1] == ")" else value <= hi)
+        inside = value in domain
+    else:
+        lo, hi = (float(end) for end in domain[1:-1].split(","))
+        inside = (lo < value if domain[0] == "(" else lo <= value) and (
+            value < hi if domain[-1] == ")" else value <= hi)
+    return None if inside else f"{value!r} is not in {domain}"
 
 
 def check(config) -> None:
@@ -34,9 +39,9 @@ def check(config) -> None:
     the error keeps the ``fields`` it names and ``render(*names)`` to reword it with other names."""
     names = [f.name for f in fields(config)]
     for f in fields(config):
-        value, domain = getattr(config, f.name), f.metadata.get("domain")
-        if domain is not None and not _admits(domain, value):
-            _reject(ContractError, lambda a: f"{a}: {value!r} is not in {domain}", f.name)
+        domain = f.metadata.get("domain")
+        if domain is not None and (why := _breach(domain, getattr(config, f.name))):
+            _reject(ContractError, lambda a: f"{a}: {why}", f.name)
     for a, b, holds, error, breach in RELATIONS:
         if a in names and b in names and not holds(va := getattr(config, a), vb := getattr(config, b)):
             _reject(error, lambda x, y: f"{x}: {va!r} {breach} {y} {vb!r}", a, b)

@@ -5,13 +5,14 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import Corpus, TokenizerSpec, random_resized_crop, to_float, tokenize
+from .data import Corpus, TokenizerSpec, random_resized_crop, template_problem, to_float, tokenize
 from .errors import DimensionError, InputError
 from .model import ClipModel
 from .tensor import no_grad
@@ -46,14 +47,10 @@ def build_class_embeddings(
     ``encode_texts`` call, normalize each, average per class, renormalize."""
     if not class_names:
         raise InputError("no class names given")
-    if not templates:
-        raise InputError("need at least one prompt template")
-    for t in templates:
-        try:
-            t.format("")
-        except (AttributeError, IndexError, KeyError, ValueError) as err:
-            raise InputError(f"prompt template {t!r} does not take one positional class name "
-                             f"({type(err).__name__}: {err})") from None
+    if repeated := [name for name, k in Counter(class_names).items() if k > 1]:
+        raise InputError(f"class name {repeated[0]!r} is given more than once")
+    if problem := template_problem(templates):
+        raise InputError(problem)
     embs = _normalize_rows(encode_texts([t.format(name) for name in class_names for t in templates]))
     return _normalize_rows(embs.reshape(len(class_names), len(templates), -1).mean(axis=1))
 
@@ -256,7 +253,7 @@ def evaluate(model: ClipModel, corpus: Corpus,
     text_encoder = make_text_encoder(model)
     classes = build_class_embeddings(names, templates, text_encoder)
 
-    images = np.stack([to_float(r.image) for r in corpus.heldout])
+    images = to_float(np.stack([r.image for r in corpus.heldout]))
     rng = np.random.default_rng(0)  # fixed shift variants, comparable across checkpoints
     variants = {
         "heldout": images,

@@ -272,6 +272,10 @@ class Trainer:
 
     # -- single step ---------------------------------------------------------
 
+    def step(self) -> StepRecord:
+        """The one rule for which batch attempt k trains on: stream positions k x batch_size on."""
+        return self.train_step(self.stream.batch_at(self.attempted, self.cfg.batch_size))
+
     def train_step(self, batch: Batch) -> StepRecord:
         cfg = self.cfg
         t0 = time.perf_counter()
@@ -327,10 +331,8 @@ class Trainer:
         cfg = self.cfg
         interval = cfg.checkpoint_interval or max(1, cfg.total_steps // 10)
         while self.schedule_step < cfg.total_steps:
-            batch = self.stream.batch_at(self.attempted, cfg.batch_size)
-            before = self.schedule_step
-            self.train_step(batch)
-            if (self.run_dir is not None and self.schedule_step != before
+            applied = not self.step().overflow
+            if (self.run_dir is not None and applied
                     and self.schedule_step % interval == 0
                     and self.schedule_step < cfg.total_steps):
                 self.save(self.run_dir / f"ckpt-{self.schedule_step:06d}.bin")
@@ -440,8 +442,7 @@ def bench(cfg: TrainConfig, corpus: Corpus, steps: int, warmup: int = 5) -> dict
     times: dict[str, list[float]] = {label: [] for label in arms}
     for _ in range(warmup + steps):
         for label, (_, trainer) in arms.items():
-            batch = trainer.stream.batch_at(trainer.attempted, cfg.batch_size)
-            times[label].append(trainer.train_step(batch).wall_time)
+            times[label].append(trainer.step().wall_time)
     for label, (ratio, _) in arms.items():
         q1, med, q3 = (float(q) for q in np.percentile(times[label][warmup:], [25, 50, 75]))
         report[label] = {
@@ -497,9 +498,6 @@ def run_ablation(cfg: TrainConfig, corpus: Corpus, run_dir: Path) -> dict:
         trainer = Trainer(arm_cfg, corpus, run_dir=run_dir / name)
         return arm_row(trainer, trainer.train())
 
-    def step(trainer):
-        return trainer.train_step(trainer.stream.batch_at(trainer.attempted, cfg.batch_size)).wall_time
-
     # arms keep only their final checkpoint
     base = replace(cfg, init_policy="scratch", init_checkpoint="",
                    checkpoint_interval=10 * cfg.total_steps)
@@ -518,9 +516,9 @@ def run_ablation(cfg: TrainConfig, corpus: Corpus, run_dir: Path) -> dict:
                      corpus, run_dir=run_dir / "init-lamb-mask")
     unmasked_s = masked_s = 0.0
     while unmasked.schedule_step < unmasked.cfg.total_steps:
-        unmasked_s += step(unmasked)
+        unmasked_s += unmasked.step().wall_time
         while masked_s < unmasked_s and masked.schedule_step < masked.cfg.total_steps:
-            masked_s += step(masked)
+            masked_s += masked.step().wall_time
     arm3, arm4 = (arm_row(t, t.save(t.run_dir / "final.bin")) for t in (unmasked, masked))
 
     report = {

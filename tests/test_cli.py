@@ -404,11 +404,20 @@ class TestRejectedInputs:
         ('{"num_classes": 8, "samples_per_class": 2.5}', "corpus spec key 'samples_per_class': 2.5"),
         ('{"num_classes": 8, "samples_per_class": 2, "caption_templates": "a {}"}',
          "corpus spec key 'caption_templates': 'a {}'"),
-        ('{"num_classes": 1, "samples_per_class": 2}', "corpus spec key 'num_classes': 1 is not in [2, inf)"),
+        ('{"num_classes": 1, "samples_per_class": 2}', "corpus spec key 'num_classes': 1 is not in [2, 4096]"),
         ('{"num_classes": 8, "samples_per_class": 2, "image_size": 0}',
          "corpus spec key 'image_size': 0 is not in [1, inf)"),
+        ('{"num_classes": 8, "samples_per_class": 2, "caption_templates": ["{} {}"]}',
+         "corpus spec key 'caption_templates': prompt template '{} {}' does not take one positional"),
+        ('{"num_classes": 8, "samples_per_class": 2, "caption_templates": ["{x}"]}',
+         "corpus spec key 'caption_templates': prompt template '{x}' does not take one positional"),
+        ('{"num_classes": 8, "samples_per_class": 2, "caption_templates": []}',
+         "corpus spec key 'caption_templates': need at least one prompt template"),
+        ('{"num_classes": 4097, "samples_per_class": 2}',
+         "corpus spec key 'num_classes': 4097 is not in [2, 4096]"),
     ], ids=["unknown-key", "missing-key", "not-json", "not-object", "string-count", "fractional-count",
-            "templates-not-a-list", "one-class", "zero-image-size"])
+            "templates-not-a-list", "one-class", "zero-image-size", "template-two-fields",
+            "template-named-field", "no-templates", "too-many-classes"])
     def test_bad_corpus_spec_names_file_and_key(self, tmp_path, capsys, text, match):
         (tmp_path / "spec.json").write_text(text)
         code = run(["gen-data", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "data")])

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deskclip.data import (
     BOS_ID,
@@ -192,8 +194,9 @@ class TestCorpusGeneration:
             assert text.startswith(("a photo of a ", "an image of a "))
 
     def test_class_names_unique(self):
-        names = [class_name(i) for i in range(64)]
-        assert len(set(names)) == 64
+        names = [class_name(i) for i in range(4096)]  # CorpusSpec's largest num_classes
+        assert len(set(names)) == 4096
+        assert class_name(4096) == names[0]
 
 
 class TestRandomResizedCrop:
@@ -250,14 +253,24 @@ class TestBatchStream:
     def test_walk_over_six_epochs_holds_only_the_spanned_permutations(self):
         n, b, seed = 10, 4, 11
         stream = self.make_stream(n=n, seed=seed)
-        walked, held = [], []
-        for step in range(15):  # 60 positions: six epochs
-            walked.append(stream.indices_at(step * b, b))
-            held.append(len(stream._perms))
+        walked = [stream.indices_at(step * b, b) for step in range(15)]  # 60 positions: six epochs
         want = np.concatenate([
             np.random.default_rng(np.random.SeedSequence([seed, e])).permutation(n) for e in range(6)])
         np.testing.assert_array_equal(np.concatenate(walked), want)
-        assert max(held) == 2  # a batch spans at most two epochs here
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_indices_are_the_slice_of_the_concatenated_epoch_permutations(self, data):
+        # batches up to 3n long span up to four epochs
+        n = data.draw(st.integers(1, 40), label="records")
+        b = data.draw(st.integers(1, 3 * n), label="batch size")
+        position = data.draw(st.integers(0, 10 * n), label="position")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        stream = self.make_stream(n=n, seed=seed)
+        epochs = (position + b - 1) // n + 1
+        want = np.concatenate([
+            np.random.default_rng(np.random.SeedSequence([seed, e])).permutation(n) for e in range(epochs)])
+        np.testing.assert_array_equal(stream.indices_at(position, b), want[position : position + b])
 
     def test_fixed_seed_reproducible_across_instances(self):
         a = self.make_stream(seed=5).indices_at(13, 7)

@@ -76,6 +76,12 @@ class TestBuildClassEmbeddings:
         with pytest.raises(InputError):
             build_class_embeddings([], ["a {}"], fake_text_encoder({}))
 
+    def test_repeated_class_name_rejected_by_name(self):
+        encoded = []
+        with pytest.raises(InputError, match="class name 'dog' is given more than once"):
+            build_class_embeddings(["cat", "dog", "owl", "dog"], ["a {}"], encoded.append)
+        assert encoded == []
+
     def test_empty_templates_rejected(self):
         with pytest.raises(InputError):
             build_class_embeddings(["cat"], [], fake_text_encoder({}))

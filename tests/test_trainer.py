@@ -297,6 +297,31 @@ class TestCheckpointing:
         save_checkpoint(p2, ckpt)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_step_trains_on_the_batch_train_step_would_be_given(self, corpus, tmp_path,
+                                                                 inject_overflow):
+        # step() against train_step(stream.batch_at(attempted, b)), across an overflow-skipped
+        # attempt before the save and another after the resume
+        cfg = tiny_cfg(total_steps=8, warmup_steps=2, mask_ratio=0.5)
+
+        def run(drive, tag):
+            first = Trainer(cfg, corpus)
+            inject_overflow(first, {1})
+            for _ in range(3):
+                drive(first)
+            resumed = Trainer(cfg, corpus)
+            resumed.resume(load_checkpoint(first.save(tmp_path / f"{tag}.bin")))
+            inject_overflow(resumed, {4})
+            for _ in range(3):
+                drive(resumed)
+            records = [replace(r, wall_time=0.0) for r in first.records + resumed.records]
+            return records, {n: p.data.tobytes() for n, p in resumed.model.params.items()}
+
+        records, params = run(lambda t: t.step(), "step")
+        assert [r.overflow for r in records] == [False, True, False, False, True, False]
+        assert run(lambda t: t.train_step(t.stream.batch_at(t.attempted, 4)), "by-hand") == (
+            records, params)
+        assert (tmp_path / "step.bin").read_bytes() == (tmp_path / "by-hand.bin").read_bytes()
+
     def test_resume_is_bit_exact_for_ten_steps(self, corpus, tmp_path):
         cfg = tiny_cfg(total_steps=25, warmup_steps=5, mask_ratio=0.5)
         straight = Trainer(cfg, corpus)
